@@ -440,17 +440,3 @@ def battery_algebras(p: int = DEFAULT_PRIME, seed: int = 0) -> dict[str, dg.DGAl
         "triangular2": builtin_algebra("triangular(2)", p, seed),
         "koszul_dual_numbers": builtin_algebra("koszul(x; k[x]/(x^2))", p, seed),
     }
-
-
-def battery_modules(R: dg.DGAlgebra) -> dict[str, dg.DGModule]:
-    hd = hk.heart_of(R)
-    mods = {
-        "regular": regular(R),
-        "M_of(2)": m_of(R, 2),
-        "free(2,-1)": free(R, 2, -1),
-        "heart(H0)": heart_h0(R),
-        "psi_cogen": psi_cogenerator(R),
-    }
-    for i in range(len(hk.simples(hd.h0))):
-        mods[f"heart(S{i})"] = heart_simple(R, i)
-    return mods

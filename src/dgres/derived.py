@@ -124,13 +124,6 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None) -> Semif
             raise RuntimeError("semifree construction failed to reach the floor")
 
 
-def _augmentation(F, M, sf: SemifreeResolution) -> dg.DGMorphism:
-    imgs = []
-    for s, img in zip(sf.gen_degrees, sf.images):
-        imgs.append(img)
-    return dg.free_map(F, M, imgs)
-
-
 # ---------------------------------------------------------------------------
 # windowed derived functors, route one
 

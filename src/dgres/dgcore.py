@@ -327,13 +327,6 @@ def validate(x) -> list[str]:
     raise TypeError(f"cannot validate {type(x).__name__}")
 
 
-def assert_valid(x):
-    report = validate(x)
-    if report:
-        raise ValueError(f"invalid {type(x).__name__} {getattr(x, 'label', '')!r}: " + "; ".join(report[:6]))
-    return x
-
-
 # ---------------------------------------------------------------------------
 # cohomology
 
@@ -477,7 +470,6 @@ def heart_module(M: DGModule, i: int, coh: CohomologyData | None = None) -> hk.F
     h = coh.dim(i)
     action = np.zeros((hd.h0.dim, h, h), dtype=np.int64)
     if h:
-        cohR = algebra_cohomology(M.algebra)
         # H0 basis classes are exactly cohR's degree-zero classes
         t = coh.action.get((i, 0))
         if t is None:
@@ -500,10 +492,6 @@ def shift(M: DGModule, n: int) -> DGModule:
     diff = {i - n: (sign * m) % M.p for i, m in M.diff.items()}
     act = {(i - n, j): t for (i, j), t in M.act.items()}
     return DGModule(M.algebra, dims, diff, act, label=f"{M.label}[{n}]")
-
-
-def shift_morphism(f: DGMorphism, n: int) -> DGMorphism:
-    return DGMorphism(shift(f.source, n), shift(f.target, n), {i - n: b for i, b in f.blocks.items()})
 
 
 def cone(f: DGMorphism):
@@ -721,11 +709,6 @@ def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None
     return F
 
 
-def free_generator_offset(F: DGModule, g: int) -> int:
-    s = F._gen_degrees[g]
-    return F._offsets[(s, g)]
-
-
 def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
     """The R-linear map F -> M with e_g . b -> images[g] . b."""
     p = F.p
@@ -883,16 +866,6 @@ def _flatten(blocks: dict, layout):
     for i, r, c in layout:
         parts.append(np.asarray(blocks.get(i, np.zeros((r, c), dtype=np.int64))).reshape(-1))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def hom_component_matrices(hc: KComplex, n: int) -> list[dict[int, np.ndarray]]:
-    """The basis of degree-n maps as per-degree block dictionaries."""
-    spaces, layouts = hc.basis["spaces"], hc.basis["layouts"]
-    M, N = hc.basis["source"], hc.basis["target"]
-    if n not in spaces:
-        return []
-    sp = spaces[n]
-    return [_unflatten(sp.basis[k], layouts[n], M, N, n) for k in range(sp.dim)]
 
 
 def tensor_complex(M: DGModule, L: DGModule, window: tuple[int, int] | None = None) -> KComplex:
@@ -1056,26 +1029,6 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
     return M
 
 
-def psi_h0_identification(R: DGAlgebra, I: DGModule):
-    """For I = psi(R, K): the matrix sending H^0(I)-classes into K,
-    with image the annihilator of the boundaries, plus that annihilator."""
-    hd = hk.heart_of(R)
-    K = I._psi_K
-    coh = cohomology(I, with_action=False)
-    pi_mod, ann = hk.pi_shriek(hd, K)
-    cols = []
-    for t in range(coh.dim(0)):
-        phi = np.zeros(I.dim(0), dtype=np.int64)
-        phi[:] = coh.reps[0][:, t]
-        mat = I._psi_spaces[0]
-        m = np.zeros((K.dim, R.dim(0)), dtype=np.int64)
-        for k in range(mat.dim):
-            m = (m + int(phi[k]) * mat.matrix(k)) % R.p
-        cols.append(la.matmul(m, R.unit, R.p))
-    into_K = np.stack(cols, axis=1) if cols else la.zeros(K.dim, 0)
-    return into_K, ann, pi_mod
-
-
 def heart_embed(R: DGAlgebra, N: hk.FDModule) -> DGModule:
     """An H0-module as a DG-module concentrated in degree zero."""
     hd = hk.heart_of(R)
@@ -1133,44 +1086,3 @@ def double_dual_map(M: DGModule) -> DGMorphism:
         sign = -1 if i % 2 else 1
         blocks[i] = (sign * la.eye(M.dim(i))) % M.p
     return DGMorphism(M, dd, blocks)
-
-
-def direct_sum_modules(mods: list[DGModule], label="") -> tuple[DGModule, list[DGMorphism]]:
-    R = mods[0].algebra
-    p = mods[0].p
-    degs = sorted({i for m in mods for i in m.degrees()})
-    dims = {i: sum(m.dim(i) for m in mods) for i in degs}
-    diff, act = {}, {}
-    for i in degs:
-        if dims.get(i + 1, 0):
-            d = la.zeros(dims[i + 1], dims[i])
-            r0 = 0
-            c0 = 0
-            for m in mods:
-                d[r0 : r0 + m.dim(i + 1), c0 : c0 + m.dim(i)] = m.diff_mat(i)
-                r0 += m.dim(i + 1)
-                c0 += m.dim(i)
-            diff[i] = d
-        for j in R.degrees():
-            k = i + j
-            if dims.get(k, 0) == 0:
-                continue
-            t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
-            a0 = 0
-            c0 = 0
-            for m in mods:
-                t[a0 : a0 + m.dim(i), :, c0 : c0 + m.dim(k)] = m.act_tensor(i, j)
-                a0 += m.dim(i)
-                c0 += m.dim(k)
-            act[(i, j)] = t
-    S = DGModule(R, dims, diff, act, label=label or "⊕")
-    incls = []
-    for idx, m in enumerate(mods):
-        blocks = {}
-        for i in m.degrees():
-            off = sum(mm.dim(i) for mm in mods[:idx])
-            blk = la.zeros(dims[i], m.dim(i))
-            blk[off : off + m.dim(i)] = la.eye(m.dim(i))
-            blocks[i] = blk
-        incls.append(DGMorphism(m, S, blocks))
-    return S, incls

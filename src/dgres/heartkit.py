@@ -240,21 +240,10 @@ def _split_roots(f, p, rng, budget=64):
         d = _pgcd(g, f, p)
         if 0 < len(d) - 1 < deg:
             q, r = _pdivmod(f, d, p)
-            assert r == [0]
+            if r != [0]:
+                raise RuntimeError("a gcd of f does not divide f; polynomial arithmetic over GF(p) is corrupt")
             return sorted(_split_roots(d, p, rng, budget) + _split_roots(q, p, rng, budget))
     raise UnsplitFactorError("root splitting exceeded the retry budget")
-
-
-def _minimal_polynomial(A: OrdinaryAlgebra, z) -> list[int]:
-    vecs = [A.unit.copy()]
-    w = A.unit.copy()
-    while True:
-        w = A.multiply(w, z)
-        stacked = np.stack(vecs, axis=1)
-        sol = la.solve(stacked, w, A.p)
-        if sol is not None:
-            return [int(-c) % A.p for c in sol] + [1]
-        vecs.append(w.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +289,6 @@ def zero_module(A: OrdinaryAlgebra) -> FDModule:
 def regular_module(A: OrdinaryAlgebra) -> FDModule:
     action = np.stack([A.right_mult(la.eye(A.dim)[a]) for a in range(A.dim)])
     return FDModule(A, A.dim, action, label=A.label or "A")
-
-
-def free_fdmodule(A: OrdinaryAlgebra, n: int) -> FDModule:
-    reg = regular_module(A)
-    return direct_sum([reg] * n)[0] if n != 1 else reg
 
 
 def direct_sum(mods: list[FDModule]):
@@ -767,16 +751,6 @@ def heart_data(p: int, r0_mult, r0_unit, boundary_vectors, label="") -> HeartDat
     h0, proj, sect = quotient_algebra(r0, b0)
     h0.label = label + ".H0"
     return HeartData(r0, h0, proj, sect, b0)
-
-
-def zeroth_algebra(R, which: str) -> OrdinaryAlgebra:
-    """H0 or R0 of a connective DG-algebra given by tables."""
-    hd = heart_of(R)
-    if which == "H0":
-        return hd.h0
-    if which == "R0":
-        return hd.r0
-    raise ValueError(f"unknown zeroth algebra kind {which!r}")
 
 
 def heart_of(R) -> HeartData:

@@ -27,6 +27,25 @@ inducing an isomorphism on top cohomology is a quasi-isomorphism, because
 both cohomologies are generated over H(R) by the top.  When H^sup(M) is
 free the engine additionally produces the quasi-isomorphism from a shifted
 free module and certifies it directly.
+
+The inf-injective side rests on two theorems.  Its terms are psi(K) =
+Hom_{R0}(R, K), shifted, for K injective over R0.  By the coinduction
+adjunction, strict degree-0 maps f : M -> psi(K)[-t] correspond exactly to
+R0-linear phi : M^t -> K through
+
+    f_j(m)(s) = phi(m s),   m in M^j, s in R^{t-j},
+
+and phi(x) = f_t(x)(1).  With the signs of dgcore, f is a chain map iff
+phi(d(m s)) = 0 for all m and s, by the Leibniz rule
+d(m s) = dm s + (-1)^j m ds.  Taking s = 1 shows these elements fill
+B^t(M), so the chain condition is just phi|B^t = 0.  A stage therefore
+solves for phi on one degree: R0-linear, zero on B^t, prescribed on the
+representatives of H^t.  It exists because K is R0-injective, so the
+prescribed map on Z^t/B^t extends to M^t/B^t.  Membership in the shifted
+psi class is decided by k-duality: D(psi(E)) = R (x)_{R0} D(E) is a summand
+of a free R^op-module, and D is an exact duality on finite-dimensional
+DG-modules, so M lies in the class iff D(M) passes the projective criterion
+over R^op.
 """
 
 from __future__ import annotations
@@ -170,7 +189,6 @@ def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     for i in _action_map_ranges(M.algebra, coh, s):
         mat, src = _action_map(M, coh, s, i)
         tgt = coh.dim(s - i)
-        ok = la.rank(mat, M.p) == src == tgt if src or tgt else True
         if src != tgt or (src and la.rank(mat, M.p) != src):
             cert["action_map_failure_degree"] = i
             cert["action_map_dims"] = [int(src), int(tgt)]
@@ -202,7 +220,7 @@ def membership_F(M: dg.DGModule, coh: dg.CohomologyData | None = None):
 
 
 # ---------------------------------------------------------------------------
-# sup-projective steps and resolutions
+# resolution steps
 
 
 def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.CohomologyData | None = None):
@@ -249,250 +267,53 @@ def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.Coh
     return P, f, nxt, g, info
 
 
-class SppjResolution:
-    """Iterated sup-projective stages of a fixed module."""
+def _strict_map_to_psi(M, I, t, cohM, values):
+    """The strict morphism f : M -> I = psi(K)[-t] with f_t(z_q)(1) = values[:, q].
 
-    def __init__(self, M: dg.DGModule, minimal: bool = True):
-        self.base = M
-        self.minimal = minimal
-        self.models = [M]
-        self.cohs = [dg.cohomology(M)]
-        self.terms: list[dg.DGModule] = []
-        self.maps: list[dg.DGMorphism] = []  # f_i : P_i -> M_i
-        self.gs: list[dg.DGMorphism] = []  # g_{i+1} : M_{i+1} -> P_i
-        self.infos: list[StageInfo] = []
-        self.length: int | None = None  # set when a model becomes acyclic
-
-    @property
-    def stages_built(self) -> int:
-        return len(self.terms)
-
-    def model(self, i: int) -> dg.DGModule:
-        self.ensure(i)
-        return self.models[i]
-
-    def coh(self, i: int) -> dg.CohomologyData:
-        self.ensure(i)
-        return self.cohs[i]
-
-    def ensure(self, i: int):
-        while self.stages_built < i and self.length is None:
-            self.step()
-
-    def step(self, generators=None):
-        if self.length is not None:
-            raise RuntimeError("resolution already terminated")
-        i = self.stages_built
-        M, coh = self.models[i], self.cohs[i]
-        P, f, nxt, g, info = sppj_step(M, minimal=self.minimal, generators=generators, coh=coh)
-        info.index = i
-        self.terms.append(P)
-        self.maps.append(f)
-        self.gs.append(g)
-        self.infos.append(info)
-        self.models.append(nxt)
-        self.cohs.append(dg.cohomology(nxt))
-        if self.cohs[-1].is_acyclic():
-            self.length = i
-
-    def sup_term(self, i: int):
-        """sup of P_i, or None when P_i = 0 (past the terminated length)."""
-        if self.length is not None and i > self.length:
-            return None
-        self.ensure(i + 1)
-        if self.length is not None and i > self.length:
-            return None
-        return self.infos[i].edge
-
-    def delta(self, i: int) -> dg.DGMorphism:
-        """The spliced differential P_i -> P_{i-1}."""
-        if i < 1:
-            raise ValueError("delta is defined for stage >= 1")
-        self.ensure(i + 1)
-        return dg.compose(self.gs[i - 1], self.maps[i])
-
-
-def _sppj_dimension(res: SppjResolution, cap: int, kind: str, member) -> DimensionReport:
-    coh0 = res.cohs[0]
-    if coh0.is_acyclic():
-        return DimensionReport(kind=kind, zero_object=True, notes=["zero object"])
-    s0 = coh0.sup
-    report = DimensionReport(kind=kind)
-    for i in range(cap + 1):
-        model, coh = res.model(i), res.coh(i)
-        if coh.is_acyclic():
-            # resolution terminated strictly one stage earlier
-            e = i - 1
-            prev = res.coh(e)
-            report.exact = e + s0 - prev.sup
-            report.e = e
-            report.certificate = {"terminated_strictly": True}
-            report.stages = list(res.infos[: max(e + 1, 0)])
-            report.notes.append("final stage map is a quasi-isomorphism from a free term")
-            return report
-        ok, cert = member(model, coh)
-        if ok:
-            report.exact = i + s0 - coh.sup
-            report.e = i
-            report.certificate = cert
-            report.certificate["first_success_stage"] = i
-            report.certificate["non_split_condition"] = (
-                "derived: membership fails at stages < e, so the last structure map cannot split"
-            )
-            report.stages = list(res.infos[:i])
-            return report
-    supc = res.coh(cap).sup
-    report.at_least = cap
-    report.certificate = {
-        "stage_bound": int(cap + s0 - supc),
-        "bound_rule": "pd >= i + sup M - sup M_i at every unterminated stage i",
-    }
-    report.stages = list(res.infos[:cap])
-    return report
-
-
-def pd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
-    """Projective dimension via sup-projective resolutions."""
-    res = resolution or SppjResolution(M, minimal=minimal)
-    return _sppj_dimension(res, cap, "pd", membership_P)
-
-
-def fd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
-    """Flat dimension via sup-flat resolutions (free terms, flat membership)."""
-    res = resolution or SppjResolution(M, minimal=minimal)
-    rep = _sppj_dimension(res, cap, "fd", membership_F)
-    rep.notes.append("sup-flat terms are free; flat covers of finitely generated modules over a finite-dimensional algebra are projective covers")
-    return rep
-
-
-spft_step = sppj_step
-SpftResolution = SppjResolution
-
-
-# ---------------------------------------------------------------------------
-# inf-injective steps and resolutions
-
-
-def _strict_map_to_psi(M, I, cohM, cohI, t, prescribed):
-    """Solve for a strict morphism f : M -> I with prescribed H^t(f).
-
-    prescribed maps class coordinates of H^t(M) to class coordinates of
-    H^t(I).  Solvable whenever I is of shifted psi type.
+    z_q are the representatives of H^t(M) in cohM and values[:, q] lies in K.
+    f is the adjoint f_j(m)(s) = phi(m s) of the R0-linear phi : M^t -> K
+    that vanishes on B^t(M) and sends z_q to values[:, q]; such a phi exists
+    because K is injective over R0 (module docstring).
     """
     p = M.p
-    R = M.algebra
-    degs = [i for i in I.degrees() if M.dim(i)]
-    offs, off = {}, 0
-    for i in degs:
-        offs[i] = off
-        off += I.dim(i) * M.dim(i)
-    total = off
-    rows = []
-    rhs = []
-
-    def add(row, val):
-        rows.append(row % p)
-        rhs.append(val % p)
-
-    # chain map: f_{i+1} d_M^i - d_I^i f_i = 0, including boundary degrees
-    for i in sorted(set(degs) | {d - 1 for d in degs}):
-        rI, cM = I.dim(i + 1), M.dim(i)
-        if rI == 0 or cM == 0:
-            continue
-        block = np.zeros((rI * cM, total), dtype=np.int64)
-        if (i + 1) in offs:
-            o = offs[i + 1]
-            blk = np.kron(la.eye(rI), M.diff_mat(i).T)  # vec_r(f_{i+1} d)
-            block[:, o : o + rI * M.dim(i + 1)] = blk
-        if i in offs:
-            o = offs[i]
-            blk = np.kron(I.diff_mat(i), la.eye(cM))
-            block[:, o : o + I.dim(i) * cM] = (block[:, o : o + I.dim(i) * cM] - blk) % p
-        for r in range(rI * cM):
-            if np.any(block[r]):
-                add(block[r], 0)
-    # R-linearity: f_{i+j}(m.r) = f_i(m).r
-    for i in M.degrees():
-        for j in R.degrees():
-            k = i + j
-            tgt = I.dim(k)
-            if tgt == 0 and I.dim(i) == 0:
-                continue
-            for a in range(M.dim(i)):
-                for b in range(R.dim(j)):
-                    row = np.zeros((tgt, total), dtype=np.int64) if tgt else None
-                    if tgt == 0:
-                        continue
-                    v = M.act_tensor(i, j)[a, b]
-                    if k in offs:
-                        row[:, offs[k] : offs[k] + tgt * M.dim(k)] = np.kron(la.eye(tgt), v.reshape(1, -1))
-                    if i in offs and I.dim(i):
-                        Rb = I.right_mult_matrix(la.eye(R.dim(j))[b], j, i)
-                        sel = np.zeros((1, M.dim(i)), dtype=np.int64)
-                        sel[0, a] = 1
-                        row[:, offs[i] : offs[i] + I.dim(i) * M.dim(i)] = (
-                            row[:, offs[i] : offs[i] + I.dim(i) * M.dim(i)] - np.kron(Rb, sel)
-                        ) % p
-                    for r in range(tgt):
-                        if np.any(row[r]):
-                            add(row[r], 0)
-    # normalization on bottom cohomology: class of f(z_q) = prescribed[:, q]
-    Zt = cohM.cycle_basis[t]
-    for q in range(cohM.dim(t)):
-        z = cohM.reps[t][:, q]
-        # class coords of f_t(z): project after applying the unknown f_t
-        # build rows: for each target class coordinate
-        cp = cohI.class_proj[t]
-        Zi = cohI.cycle_basis[t]
-        # express: proj_classes(coords_in_Z(f_t z)) = prescribed
-        # f_t z must be a cycle (follows from chain rows); its Z-coordinates
-        # are linear in f_t because the cycle basis is in echelon form
-        _, piv = la.rref(Zi.basis, p)
-        for cidx in range(cohI.dim(t)):
-            row = np.zeros(total, dtype=np.int64)
-            if t in offs:
-                # (f_t z)[piv] gives Z-coordinates; then apply class projection
-                for zi, pv in enumerate(piv):
-                    # coefficient of f_t[pv, :] entries
-                    o = offs[t] + pv * M.dim(t)
-                    row[o : o + M.dim(t)] = (row[o : o + M.dim(t)] + int(cp[cidx, zi]) * z) % p
-            add(row, int(prescribed[cidx, q]))
-    if not rows:
-        return dg.DGMorphism(M, I, {})
-    big = np.stack(rows, axis=0)
-    sol = la.solve(big, np.array(rhs, dtype=np.int64), p)
+    K, spaces = I._psi_K, I._psi_spaces
+    n, k = M.dim(t), K.dim
+    # unknowns: phi as a (k, n) matrix, row-major
+    rows = [
+        np.kron(la.eye(k), M.right_mult_matrix(e, 0, t).T) - np.kron(K.action[b], la.eye(n))
+        for b, e in enumerate(la.eye(M.algebra.dim(0)))
+    ]
+    rows.append(np.kron(la.eye(k), M.diff_mat(t - 1).T))
+    rows.append(np.kron(la.eye(k), cohM.reps[t].T))
+    rhs = np.zeros(sum(r.shape[0] for r in rows), dtype=np.int64)
+    rhs[rhs.size - values.size :] = la.as_field(values, p).reshape(-1)
+    sol = la.solve(np.concatenate(rows), rhs, p)
     if sol is None:
-        raise RuntimeError("strict lift to the psi-type target does not exist; tables corrupt")
+        raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
+    phi = sol.reshape(k, n)
     blocks = {}
-    for i in degs:
-        o = offs[i]
-        blocks[i] = sol[o : o + I.dim(i) * M.dim(i)].reshape(I.dim(i), M.dim(i))
+    for j in M.degrees():
+        sp = spaces.get(j - t)
+        if sp is None or sp.dim == 0:
+            continue
+        # f_j(m) : R^{t-j} -> K,  s -> phi(m s)
+        maps = np.einsum("kc,msc->mks", phi, M.act_tensor(j, t - j)) % p
+        blocks[j] = np.stack([sp.coords(mat) for mat in maps], axis=1)
     return dg.DGMorphism(M, I, blocks)
 
 
 def _psi_target(R, J: hk.FDModule, t: int):
-    """I = psi(R, E_{R0}(J))[-t] together with the class identification.
+    """I = psi(R, K)[-t] for the R0-envelope K = E_{R0}(J), and the hull J -> K.
 
-    Returns (I, cohI, to_classes) where to_classes maps vectors of
-    E_{R0}(J) lying in the boundary annihilator to H^t(I) class coords."""
-    hd = hk.heart_of(R)
-    JR = hk.restrict_to_r0(hd, J)
-    hull = hk.injective_envelope(JR)
-    K = hull.module
-    I0 = dg.psi(R, K)
-    into_K, ann, pi_mod = dg.psi_h0_identification(R, I0)
+    Returns (I, hull).  I keeps psi's component spaces and K for
+    _strict_map_to_psi.
+    """
+    hull = hk.injective_envelope(hk.restrict_to_r0(hk.heart_of(R), J))
+    I0 = dg.psi(R, hull.module)
     I = dg.shift(I0, -t)
     I.label = f"psi(E({J.label}))[{-t}]"
-    cohI = dg.cohomology(I)
-    p = R.p
-
-    def to_classes(vec_in_K):
-        c = la.solve(into_K, vec_in_K, p)
-        if c is None:
-            raise RuntimeError("vector is outside the image of the class identification")
-        return c
-
-    return I, cohI, to_classes, hull
+    I._psi_spaces, I._psi_K = I0._psi_spaces, I0._psi_K
+    return I, hull
 
 
 def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | None = None):
@@ -518,14 +339,9 @@ def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | Non
         emb = la.matmul(incls[0], emb, M.p)
         J = J2
         mode = "envelope+cogenerator"
-    I, cohI, to_classes, hull = _psi_target(R, J, t)
-    prescribed_cols = []
-    for q in range(Q.dim):
-        k_vec = la.matmul(hull.map, emb[:, q], M.p)
-        prescribed_cols.append(to_classes(k_vec))
-    prescribed = np.stack(prescribed_cols, axis=1) if prescribed_cols else la.zeros(cohI.dim(t), 0)
-    f = _strict_map_to_psi(M, I, coh, cohI, t, prescribed)
-    hmap = dg.cohomology_map(f, t, coh, cohI)
+    I, hull = _psi_target(R, J, t)
+    f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, emb, M.p))
+    hmap = dg.cohomology_map(f, t, coh, dg.cohomology(I, with_action=False))
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
     nxt, inc, _ = dg.cone(f)
@@ -534,28 +350,30 @@ def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | Non
 
 
 def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
-    """Is M a shift of a psi-type DG-injective, with certificate."""
-    coh = coh or dg.cohomology(M)
-    if coh.is_acyclic():
-        raise ValueError("membership is undefined for the zero object")
-    t = coh.inf
-    Q = dg.heart_module(M, t, coh)
-    cert = {"inf": t, "h_inf_dim": Q.dim}
-    if not hk.is_injective(Q):
-        cert["h_inf_injective"] = False
-        return False, cert
-    cert["h_inf_injective"] = True
-    I, cohI, to_classes, hull = _psi_target(M.algebra, Q, t)
-    prescribed_cols = [to_classes(la.matmul(hull.map, la.eye(Q.dim)[q], M.p)) for q in range(Q.dim)]
-    prescribed = np.stack(prescribed_cols, axis=1) if prescribed_cols else la.zeros(cohI.dim(t), 0)
-    f = _strict_map_to_psi(M, I, coh, cohI, t, prescribed)
-    ok = dg.is_quasi_iso(f)
-    cert["strict_lift_quasi_iso"] = ok
-    return ok, cert
+    """Is M a shift of a psi-type DG-injective, with certificate.
+
+    Decided by k-duality as membership_P of D(M) over R^op (module
+    docstring).  `coh` keeps the call shape of membership_P; D(M) has its
+    own cohomology.
+    """
+    ok, dual = membership_P(dg.dualize(M))
+    return ok, {"inf": -dual["sup"], "dual_membership_P": dual}
 
 
-class IfijResolution:
-    """Iterated inf-injective stages of a fixed module."""
+# ---------------------------------------------------------------------------
+# resolutions and the dimension reader
+
+
+class Resolution:
+    """Iterated stages of a fixed module M_0 = M.
+
+    Stage i maps between the model M_i and a term T_i by a strict f_i, and
+    passes to the next model M_{i+1} with its strict structure map g_{i+1}.
+    Subclasses fix the step, the edge of cohomology each stage peels off and
+    the order in which f and g splice.
+    """
+
+    edge_name: str  # 'sup' or 'inf'
 
     def __init__(self, M: dg.DGModule, minimal: bool = True):
         self.base = M
@@ -563,14 +381,14 @@ class IfijResolution:
         self.models = [M]
         self.cohs = [dg.cohomology(M)]
         self.terms: list[dg.DGModule] = []
-        self.maps: list[dg.DGMorphism] = []  # f_{-i} : M_{-i} -> I_{-i}
-        self.gs: list[dg.DGMorphism] = []  # g_{-i} : I_{-i} -> M_{-i-1}
+        self.maps: list[dg.DGMorphism] = []
+        self.gs: list[dg.DGMorphism] = []
         self.infos: list[StageInfo] = []
-        self.length: int | None = None
+        self.length: int | None = None  # set when a model becomes acyclic
 
-    @property
-    def stages_built(self) -> int:
-        return len(self.terms)
+    def _step(self, M, **options):
+        """The stage function, called through its module attribute."""
+        raise NotImplementedError
 
     def model(self, i: int) -> dg.DGModule:
         self.ensure(i)
@@ -581,17 +399,16 @@ class IfijResolution:
         return self.cohs[i]
 
     def ensure(self, i: int):
-        while self.stages_built < i and self.length is None:
+        while len(self.terms) < i and self.length is None:
             self.step()
 
-    def step(self):
+    def step(self, **options):
         if self.length is not None:
             raise RuntimeError("resolution already terminated")
-        i = self.stages_built
-        M, coh = self.models[i], self.cohs[i]
-        I, f, nxt, g, info = ifij_step(M, minimal=self.minimal, coh=coh)
+        i = len(self.terms)
+        term, f, nxt, g, info = self._step(self.models[i], minimal=self.minimal, coh=self.cohs[i], **options)
         info.index = i
-        self.terms.append(I)
+        self.terms.append(term)
         self.maps.append(f)
         self.gs.append(g)
         self.infos.append(info)
@@ -600,43 +417,72 @@ class IfijResolution:
         if self.cohs[-1].is_acyclic():
             self.length = i
 
-    def inf_term(self, i: int):
-        if self.length is not None and i > self.length:
-            return None
+    def edge(self, i: int):
+        """The edge of T_i, or None when T_i = 0 (past the terminated length)."""
         self.ensure(i + 1)
         if self.length is not None and i > self.length:
             return None
         return self.infos[i].edge
 
     def delta(self, i: int) -> dg.DGMorphism:
-        """The spliced map I_{-(i-1)} -> I_{-i}."""
+        """The spliced map between T_i and T_{i-1}, in the resolution's direction."""
         if i < 1:
             raise ValueError("delta is defined for stage >= 1")
         self.ensure(i + 1)
-        return dg.compose(self.maps[i], self.gs[i - 1])
+        f, g = self.maps[i], self.gs[i - 1]
+        return dg.compose(g, f) if self.edge_name == "sup" else dg.compose(f, g)
 
 
-def injdim(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: IfijResolution | None = None) -> DimensionReport:
-    """Injective dimension via inf-injective resolutions."""
-    res = resolution or IfijResolution(M, minimal=minimal)
+class SppjResolution(Resolution):
+    """Sup-projective stages: f_i : P_i -> M_i, g_{i+1} : M_{i+1} -> P_i."""
+
+    edge_name = "sup"
+    sup_term = Resolution.edge
+
+    def _step(self, M, **options):
+        return sppj_step(M, **options)
+
+
+class IfijResolution(Resolution):
+    """Inf-injective stages: f_i : M_i -> I_{-i}, g_i : I_{-i} -> M_{i+1}."""
+
+    edge_name = "inf"
+    inf_term = Resolution.edge
+
+    def _step(self, M, **options):
+        return ifij_step(M, **options)
+
+
+def _dimension(res: Resolution, cap: int, kind: str, member) -> DimensionReport:
+    """Read the dimension at the first stage e whose model is a member.
+
+    exact = e + eps (edge M - edge M_e) with eps = +1 for the sup edge and
+    -1 for the inf edge; the same expression at stage `cap` bounds the
+    dimension from below when no stage up to `cap` succeeds.
+    """
     coh0 = res.cohs[0]
     if coh0.is_acyclic():
-        return DimensionReport(kind="injdim", zero_object=True, notes=["zero object"])
-    t0 = coh0.inf
-    report = DimensionReport(kind="injdim")
+        return DimensionReport(kind=kind, zero_object=True, notes=["zero object"])
+    edge, eps = res.edge_name, 1 if res.edge_name == "sup" else -1
+
+    def drop(coh):
+        return eps * (getattr(coh0, edge) - getattr(coh, edge))
+
+    report = DimensionReport(kind=kind)
     for i in range(cap + 1):
         model, coh = res.model(i), res.coh(i)
         if coh.is_acyclic():
+            # resolution terminated strictly one stage earlier
             e = i - 1
-            prev = res.coh(e)
-            report.exact = e + prev.inf - t0
+            report.exact = e + drop(res.coh(e))
             report.e = e
             report.certificate = {"terminated_strictly": True}
             report.stages = list(res.infos[: max(e + 1, 0)])
+            report.notes.append("final stage map is a quasi-isomorphism with its term")
             return report
-        ok, cert = membership_I(model, coh)
+        ok, cert = member(model, coh)
         if ok:
-            report.exact = i + coh.inf - t0
+            report.exact = i + drop(coh)
             report.e = i
             report.certificate = cert
             report.certificate["first_success_stage"] = i
@@ -645,14 +491,33 @@ def injdim(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: Ifij
             )
             report.stages = list(res.infos[:i])
             return report
-    infc = res.coh(cap).inf
     report.at_least = cap
     report.certificate = {
-        "stage_bound": int(cap + infc - t0),
-        "bound_rule": "injdim >= i + inf M_{-i} - inf M at every unterminated stage i",
+        "stage_bound": int(cap + drop(res.coh(cap))),
+        "bound_rule": f"{kind} >= i {'+' if eps > 0 else '-'} ({edge} M - {edge} M_i) at every unterminated stage i",
     }
     report.stages = list(res.infos[:cap])
     return report
+
+
+def pd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
+    """Projective dimension via sup-projective resolutions."""
+    res = resolution or SppjResolution(M, minimal=minimal)
+    return _dimension(res, cap, "pd", membership_P)
+
+
+def fd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
+    """Flat dimension via sup-flat resolutions (free terms, flat membership)."""
+    res = resolution or SppjResolution(M, minimal=minimal)
+    rep = _dimension(res, cap, "fd", membership_F)
+    rep.notes.append("sup-flat terms are free; flat covers of finitely generated modules over a finite-dimensional algebra are projective covers")
+    return rep
+
+
+def injdim(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: IfijResolution | None = None) -> DimensionReport:
+    """Injective dimension via inf-injective resolutions."""
+    res = resolution or IfijResolution(M, minimal=minimal)
+    return _dimension(res, cap, "injdim", membership_I)
 
 
 # ---------------------------------------------------------------------------

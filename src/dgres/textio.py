@@ -273,12 +273,10 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
         for j in R.degrees()
     }
     # unit action is automatic
-    iu = None
     unit_idx = np.flatnonzero(R.unit % p)
     for i in dims:
         t = act[(i, 0)]
         if t.shape[2]:
-            inv_total = 0
             for u in unit_idx:
                 t[:, u, :] += int(R.unit[u]) * la.eye(dims[i])
             t %= p

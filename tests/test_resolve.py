@@ -176,13 +176,15 @@ def test_semisimple_zero(algebras):
         assert rv.semisimple_zero_check(algebras[name]) == want, name
 
 
-def test_duality_injdim_pd(koszul, tri2):
-    for R in (koszul, tri2):
-        for M in (R.regular_module(), battery.m_of(R, 1), battery.heart_simple(R, 0)):
+def test_duality_injdim_pd(algebras):
+    # the value, exact or not, and the stage bound agree in every case
+    for R in algebras.values():
+        simples = hk.simples(hk.heart_of(R).h0)
+        for M in [R.regular_module(), battery.m_of(R, 1)] + [battery.heart_simple(R, i) for i in range(len(simples))]:
             a = rv.injdim(M, cap=5)
             b = rv.pd(dg.dualize(M), cap=5)
-            if a.exact is not None and b.exact is not None:
-                assert a.exact == b.exact, (R.label, M.label)
+            assert (a.exact, a.at_least, a.zero_object) == (b.exact, b.at_least, b.zero_object), (R.label, M.label)
+            assert a.certificate.get("stage_bound") == b.certificate.get("stage_bound"), (R.label, M.label)
 
 
 def test_monotone_stage_bound(koszul):
