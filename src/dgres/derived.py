@@ -195,7 +195,7 @@ def _hom_spaces_along_sppj(res: SppjResolution, N: hk.FDModule, need_slot: int, 
         if s is None:
             break
         sups[i] = s
-        cohs[i] = dg.cohomology(res.terms[i])
+        cohs[i] = res.term_cohs[i]
         qs[i] = dg.heart_module(res.terms[i], s, cohs[i])
         homs[i] = hk.hom_space(qs[i], N)
     trans = {}
@@ -299,7 +299,7 @@ def tor_table_via_spft(M: dg.DGModule, L: hk.FDModule, resolution: SppjResolutio
         if s is None:
             break
         sups[i] = s
-        cohs[i] = dg.cohomology(res.terms[i])
+        cohs[i] = res.term_cohs[i]
         qs[i] = dg.heart_module(res.terms[i], s, cohs[i])
         tens[i] = tensor_over_h0(qs[i], L)
     trans = {}
@@ -363,7 +363,7 @@ def hom_table_via_ifij(N: hk.FDModule, M: dg.DGModule, resolution: IfijResolutio
         if t is None:
             break
         infs[i] = t
-        cohs[i] = dg.cohomology(res.terms[i])
+        cohs[i] = res.term_cohs[i]
         js[i] = dg.heart_module(res.terms[i], t, cohs[i])
         homs[i] = hk.hom_space(N, js[i])
     trans = {}

@@ -57,6 +57,11 @@ class DGAlgebra:
     seed: int = 0
     _memo: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # GF(p) arithmetic, and every inverse taken by exactla, needs p prime
+        if not la.is_prime(self.p):
+            raise hk.ConfigurationError(f"p must be prime, got p={self.p}")
+
     def dim(self, i: int) -> int:
         return self.dims.get(i, 0)
 
@@ -371,17 +376,17 @@ class CohomologyData:
         return not any(self.dims.values())
 
     def project(self, i: int, z) -> np.ndarray:
-        """Class coordinates of a cocycle z in degree i."""
+        """Class coordinates of a cocycle z in degree i; a matrix z holds
+        cocycles as columns and gets their coordinates as columns."""
+        z = la.as_field(z, self.p)
         Z = self.cycle_basis.get(i)
-        if Z is None or self.dim(i) == 0:
-            if Z is not None:
-                coords = Z.coordinates(z)
-                if coords is None:
-                    raise ValueError(f"vector is not a cocycle in degree {i}")
-            return np.zeros(self.dim(i), dtype=np.int64)
-        coords = Z.coordinates(z)
-        if coords is None:
+        if Z is None:
+            return np.zeros((self.dim(i),) + z.shape[1:], dtype=np.int64)
+        coords = z[Z.pivots]
+        if np.any(z != la.matmul(Z.basis.T, coords, self.p)):
             raise ValueError(f"vector is not a cocycle in degree {i}")
+        if self.dim(i) == 0:
+            return np.zeros((0,) + z.shape[1:], dtype=np.int64)
         return la.matmul(self.class_proj[i], coords, self.p)
 
     def rep(self, i: int, coords) -> np.ndarray:
@@ -400,14 +405,12 @@ def cohomology(M, with_action: bool = True) -> CohomologyData:
         Z = la.kernel(M.diff_mat(i), p)
         dprev = M.diff_mat(i - 1)
         B = la.span(dprev.T, M.dim(i), p) if M.dim(i - 1) else la.span(la.zeros(0, M.dim(i)), M.dim(i), p)
-        # coordinates of the boundary space inside the cycle space
-        bc = []
-        for row in B.basis:
-            c = Z.coordinates(row)
-            if c is None:
-                raise RuntimeError("boundary is not a cycle; differential tables corrupt")
-            bc.append(c)
-        Bin = la.span(bc if bc else la.zeros(0, Z.dim), Z.dim, p)
+        # coordinates of the boundary space inside the cycle space, read at
+        # the pivots of Z
+        bc = B.basis[:, Z.pivots]
+        if np.any(B.basis != la.matmul(bc, Z.basis, p)):
+            raise RuntimeError("boundary is not a cycle; differential tables corrupt")
+        Bin = la.span(bc, Z.dim, p)
         proj, sect = la.quotient_basis(Bin)
         h = proj.shape[0]
         if h == 0:
@@ -437,13 +440,11 @@ def _fill_action(M: DGModule, data: CohomologyData):
         for j, hj in cohR.dims.items():
             if data.dim(i + j) == 0:
                 continue
-            t = np.zeros((hi, hj, data.dim(i + j)), dtype=np.int64)
-            for a in range(hi):
-                ma = data.reps[i][:, a]
-                for b in range(hj):
-                    rb = cohR.reps[j][:, b]
-                    t[a, b] = data.project(i + j, M.action(ma, i, rb, j))
-            data.action[(i, j)] = t
+            # the products rep_a . rep_b as columns, in (a, b) order
+            prod = np.einsum("xa,xyc->ayc", data.reps[i], M.act_tensor(i, j)) % p
+            prod = np.einsum("yb,ayc->cab", cohR.reps[j], prod) % p
+            classes = data.project(i + j, prod.reshape(-1, hi * hj))
+            data.action[(i, j)] = classes.T.reshape(hi, hj, -1)
 
 
 def cohomology_map(f: DGMorphism, i: int, coh_src: CohomologyData, coh_tgt: CohomologyData) -> np.ndarray:
@@ -451,8 +452,7 @@ def cohomology_map(f: DGMorphism, i: int, coh_src: CohomologyData, coh_tgt: Coho
     hs, ht = coh_src.dim(i), coh_tgt.dim(i)
     if hs == 0 or ht == 0:
         return la.zeros(ht, hs)
-    cols = [coh_tgt.project(i, f.apply(coh_src.reps[i][:, a], i)) for a in range(hs)]
-    return np.stack(cols, axis=1)
+    return coh_tgt.project(i, f.apply(coh_src.reps[i], i))
 
 
 def sup(M: DGModule):

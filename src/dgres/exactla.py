@@ -3,11 +3,21 @@
 Matrices are numpy int64 arrays with entries reduced mod p; a matrix of
 shape (m, n) represents a linear map k^n -> k^m acting on column vectors.
 Subspaces are stored by their unique reduced row echelon basis, so subspace
-equality is plain array comparison.
+equality is plain array comparison.  A Subspace also carries the pivot
+columns of that basis (pivots[i] is the first nonzero column of row i), so
+coordinates, membership and quotients are read off at the pivots without
+eliminating again.
 
-p must be an odd prime; callers that rely on the trace-form radical
-computation additionally need p larger than the dimension of the algebra,
-which is enforced where the algebra is built.
+rref touches only what changes: at each pivot it normalises and eliminates
+the columns from the pivot column onward, and updates only the rows with a
+nonzero entry in the pivot column.  Rows that are zero on input stay zero and
+are set aside first.  The reduced row echelon form is unique, so this gives
+the same matrix as a full sweep.
+
+p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
+is built.  Callers that rely on the trace-form radical computation
+additionally need p larger than the dimension of the algebra, which is
+enforced where the algebra is built.
 """
 
 from __future__ import annotations
@@ -17,6 +27,30 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_PRIME = 32003
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def as_field(m, p: int) -> np.ndarray:
@@ -37,29 +71,32 @@ def matmul(a, b, p: int) -> np.ndarray:
 
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    m = as_field(m, p).copy()
-    rows, cols = m.shape
+    m = as_field(m, p)
+    out = np.zeros_like(m)
+    a = m[m.any(axis=1)]  # zero rows stay zero; the rest is reduced in place
+    rows = a.shape[0]
     r = 0
     pivots: list[int] = []
-    for c in range(cols):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r == rows:
             break
-        pr = None
-        for k in range(r, rows):
-            if m[k, c]:
-                pr = k
-                break
-        if pr is None:
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
             continue
+        pr = r + int(below[0])
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r, c:] = (a[r, c:] * inv) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, pivots
+    out[:rows] = a
+    return out, pivots
 
 
 def rank(m, p: int) -> int:
@@ -73,6 +110,7 @@ class Subspace:
     p: int
     ambient_dim: int
     basis: np.ndarray  # (dim, ambient_dim), reduced row echelon, full row rank
+    pivots: list[int]  # pivots[i] is the first nonzero column of basis[i]
 
     @property
     def dim(self) -> int:
@@ -84,10 +122,8 @@ class Subspace:
     def coordinates(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
         v = as_field(v, self.p)
-        _, piv = rref(self.basis, self.p)
-        coords = v[piv] if piv else np.zeros(0, dtype=np.int64)
-        residual = (v - coords @ self.basis) % self.p if self.dim else v
-        if np.any(residual):
+        coords = v[self.pivots]
+        if np.any((v - coords @ self.basis) % self.p):
             return None
         return coords
 
@@ -103,23 +139,27 @@ class Subspace:
 def span(vectors, ambient_dim: int, p: int) -> Subspace:
     """Canonical subspace spanned by the given row vectors."""
     if ambient_dim == 0:
-        return Subspace(p, 0, zeros(0, 0))
+        return Subspace(p, 0, zeros(0, 0), [])
     vs = as_field(vectors, p).reshape(-1, ambient_dim)
     rr, piv = rref(vs, p)
-    return Subspace(p, ambient_dim, rr[: len(piv)].copy())
+    return Subspace(p, ambient_dim, rr[: len(piv)].copy(), piv)
+
+
+def _non_pivots(n: int, piv: list[int]) -> np.ndarray:
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    return np.flatnonzero(free)
 
 
 def kernel(m, p: int) -> Subspace:
     """{v : m v = 0} with canonical basis."""
     m = as_field(m, p)
-    rows, cols = m.shape
+    cols = m.shape[1]
     rr, piv = rref(m, p)
-    free = [c for c in range(cols) if c not in piv]
-    basis = zeros(len(free), cols)
-    for t, c in enumerate(free):
-        basis[t, c] = 1
-        for i, pc in enumerate(piv):
-            basis[t, pc] = (-rr[i, c]) % p
+    free = _non_pivots(cols, piv)
+    basis = zeros(free.size, cols)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-rr[: len(piv), free].T) % p
     return span(basis, cols, p)
 
 
@@ -151,15 +191,12 @@ def quotient_basis(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
     section is a right inverse selecting the non-pivot coordinates.
     """
     p, n = sub.p, sub.ambient_dim
-    _, piv = rref(sub.basis, p)
-    free = [c for c in range(n) if c not in piv]
-    proj = zeros(len(free), n)
-    section = zeros(n, len(free))
-    for t, c in enumerate(free):
-        proj[t, c] = 1
-        for i, pc in enumerate(piv):
-            proj[t, pc] = (-sub.basis[i, c]) % p
-        section[c, t] = 1
+    free = _non_pivots(n, sub.pivots)
+    proj = zeros(free.size, n)
+    section = zeros(n, free.size)
+    proj[np.arange(free.size), free] = 1
+    proj[:, sub.pivots] = (-sub.basis[:, free].T) % p
+    section[free, np.arange(free.size)] = 1
     return proj, section
 
 
@@ -192,8 +229,7 @@ class MapSpace:
     @classmethod
     def from_rows(cls, p: int, rows: int, cols: int, vectors) -> "MapSpace":
         sp = span(vectors if len(vectors) else zeros(0, rows * cols), rows * cols, p)
-        _, piv = rref(sp.basis, p)
-        return cls(p, rows, cols, sp.basis, piv)
+        return cls(p, rows, cols, sp.basis, sp.pivots)
 
     @property
     def dim(self) -> int:
@@ -205,9 +241,8 @@ class MapSpace:
     def coords(self, mat) -> np.ndarray:
         """Coordinates of a map known to lie in the space."""
         v = as_field(mat, self.p).reshape(-1)
-        c = v[self.pivots] if self.pivots else np.zeros(0, dtype=np.int64)
-        residual = (v - c @ self.basis) % self.p if self.dim else v
-        if np.any(residual):
+        c = v[self.pivots]
+        if np.any((v - c @ self.basis) % self.p):
             raise ValueError("MapSpace.coords: map is outside the space")
         return c
 

@@ -224,12 +224,13 @@ def membership_F(M: dg.DGModule, coh: dg.CohomologyData | None = None):
 
 
 def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.CohomologyData | None = None):
-    """One resolution stage: (P, f, next_model, g, info).
+    """One resolution stage: (P, f, next_model, g, info, H(P)).
 
     P is free with all generators in degree sup M; f is strict with
     H^sup(f) surjective; next_model is the cocone of f with its strict
-    projection g onto P.  `generators` may prescribe class coordinates of
-    H^sup(M) explicitly (columns; zero columns allowed).
+    projection g onto P; H(P) carries the H(R) action.  `generators` may
+    prescribe class coordinates of H^sup(M) explicitly (columns; zero
+    columns allowed).
     """
     R = M.algebra
     coh = coh or dg.cohomology(M)
@@ -264,7 +265,7 @@ def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.Coh
         raise ValueError("chosen generators do not surject onto the top cohomology")
     nxt, g = dg.cocone(f)
     info = StageInfo(-1, s, g_count, -s, "free", mode, dict(M.dims))
-    return P, f, nxt, g, info
+    return P, f, nxt, g, info, cohP
 
 
 def _strict_map_to_psi(M, I, t, cohM, values):
@@ -317,10 +318,11 @@ def _psi_target(R, J: hk.FDModule, t: int):
 
 
 def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | None = None):
-    """One inf-injective stage: (I, f, next_model, g, info).
+    """One inf-injective stage: (I, f, next_model, g, info, H(I)).
 
     I is a shifted psi-type DG-injective, f : M -> I is strict with
-    injective H^inf(f), next_model = cone(f) and g : I -> next_model.
+    injective H^inf(f), next_model = cone(f) and g : I -> next_model; H(I)
+    carries the H(R) action.
     """
     R = M.algebra
     hd = hk.heart_of(R)
@@ -341,12 +343,13 @@ def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | Non
         mode = "envelope+cogenerator"
     I, hull = _psi_target(R, J, t)
     f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, emb, M.p))
-    hmap = dg.cohomology_map(f, t, coh, dg.cohomology(I, with_action=False))
+    cohI = dg.cohomology(I)
+    hmap = dg.cohomology_map(f, t, coh, cohI)
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
     nxt, inc, _ = dg.cone(f)
     info = StageInfo(-1, t, I.total_dim, -t, "psi", mode, dict(M.dims))
-    return I, f, nxt, inc, info
+    return I, f, nxt, inc, info, cohI
 
 
 def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
@@ -369,6 +372,7 @@ class Resolution:
 
     Stage i maps between the model M_i and a term T_i by a strict f_i, and
     passes to the next model M_{i+1} with its strict structure map g_{i+1}.
+    cohs[i] is H(M_i) and term_cohs[i] is H(T_i), both with the H(R) action.
     Subclasses fix the step, the edge of cohomology each stage peels off and
     the order in which f and g splice.
     """
@@ -381,6 +385,7 @@ class Resolution:
         self.models = [M]
         self.cohs = [dg.cohomology(M)]
         self.terms: list[dg.DGModule] = []
+        self.term_cohs: list[dg.CohomologyData] = []
         self.maps: list[dg.DGMorphism] = []
         self.gs: list[dg.DGMorphism] = []
         self.infos: list[StageInfo] = []
@@ -406,9 +411,10 @@ class Resolution:
         if self.length is not None:
             raise RuntimeError("resolution already terminated")
         i = len(self.terms)
-        term, f, nxt, g, info = self._step(self.models[i], minimal=self.minimal, coh=self.cohs[i], **options)
+        term, f, nxt, g, info, term_coh = self._step(self.models[i], minimal=self.minimal, coh=self.cohs[i], **options)
         info.index = i
         self.terms.append(term)
+        self.term_cohs.append(term_coh)
         self.maps.append(f)
         self.gs.append(g)
         self.infos.append(info)

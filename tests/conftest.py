@@ -24,3 +24,9 @@ def tri2(algebras):
 @pytest.fixture(scope="session")
 def nilp2(algebras):
     return algebras["nilpotent2"]
+
+
+@pytest.fixture(scope="session")
+def k2():
+    # the two-variable Koszul algebra, the first builtin whose resolutions grow
+    return battery.builtin_algebra("koszul(x,y; k[x,y]/(x^2,y^2))", P)

@@ -7,6 +7,7 @@ from dgres import battery
 from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
+from dgres import textio
 
 P = 32003
 
@@ -309,3 +310,15 @@ def test_free_module_and_map_validate(koszul):
     z2 = coh.rep(-2, la.eye(coh.dim(-2))[0])
     f = dg.free_map(F, M, [z0, z2])
     assert dg.validate_morphism(f) == []
+
+
+@pytest.mark.parametrize("p", [9, 32004])
+def test_non_prime_p_rejected_at_construction(p):
+    for spec in ("field()", "triangular(2)", "koszul(x,y; k[x,y]/(x^2,y^2))"):
+        with pytest.raises(hk.ConfigurationError, match=f"p={p}"):
+            battery.builtin_algebra(spec, p)
+    text = textio.emit(textio.InputDocument(P, battery.builtin_algebra("triangular(2)", P)))
+    assert text.startswith(f"p {P}\n")
+    for doc in (text.replace(f"p {P}", f"p {p}", 1), f"p {p}\nalgebra builtin koszul(x; k[x]/(x^2))\n"):
+        with pytest.raises(hk.ConfigurationError, match=f"p={p}"):
+            textio.parse(doc)

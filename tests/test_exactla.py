@@ -6,6 +6,52 @@ from hypothesis import strategies as st
 from dgres import exactla as la
 
 P = 101
+PRIMES = (5, 101, 32003)
+
+
+def rref_oracle(m, p):
+    """Dense reference RREF: every pivot sweeps every row and column."""
+    m = la.as_field(m, p).copy()
+    rows, cols = m.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = None
+        for k in range(r, rows):
+            if m[k, c]:
+                pr = k
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - np.outer(col, m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def sparse_mats(draw):
+    """Sparse matrices with zero rows and columns and dependent rows, up to
+    40 x 60, over one of PRIMES."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.02, 0.1, 0.4, 1.0)))
+    m = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    if draw(st.booleans()) and rows and cols:
+        # low rank: rows are combinations of a few sparse rows
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        m = (rng.integers(0, p, size=(rows, k)) * (rng.random((rows, k)) < 0.5)) @ m[:k] % p
+    m[rng.random(rows) < 0.2] = 0
+    m[:, rng.random(cols) < 0.2] = 0
+    return m.astype(np.int64), p
 
 
 def test_rref_identity():
@@ -137,3 +183,51 @@ def test_intersection():
     a = la.span([[1, 0, 0], [0, 1, 0]], 3, P)
     b = la.span([[0, 1, 0], [0, 0, 1]], 3, P)
     assert la.intersection(a, b) == la.span([[0, 1, 0]], 3, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_mats())
+def test_rref_matches_dense_oracle(mp):
+    m, p = mp
+    rr, piv = la.rref(m, p)
+    want, want_piv = rref_oracle(m, p)
+    assert np.array_equal(rr, want)
+    assert piv == want_piv
+    assert np.array_equal(m, la.as_field(m, p))  # the input is left alone
+
+
+def _first_nonzero(row):
+    return int(np.flatnonzero(row)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_mats(), st.integers(0, 2**32 - 1))
+def test_span_pivots_and_coordinates(mp, seed):
+    m, p = mp
+    n = m.shape[1]
+    sub = la.span(m, n, p)
+    assert sub.pivots == [_first_nonzero(row) for row in sub.basis]
+    if n == 0:
+        return
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, p, size=sub.dim)
+    member = la.as_field(coeffs @ sub.basis, p)
+    assert np.array_equal(sub.coordinates(member), coeffs)
+    assert sub.contains(member)
+    free = [c for c in range(n) if c not in sub.pivots]
+    if free:
+        outside = member.copy()
+        outside[free[int(rng.integers(len(free)))]] += 1
+        assert sub.coordinates(outside) is None
+        assert not sub.contains(outside)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if la.is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert la.is_prime(32003) and not la.is_prime(32004) and not la.is_prime(9)
+    assert la.is_prime(2**61 - 1) and not la.is_prime(2**61 + 1)
+    # strong pseudoprimes to the first bases
+    assert not la.is_prime(3215031751) and not la.is_prime(3825123056546413051)

@@ -1,7 +1,7 @@
 """The inf-injective side: stage maps built through the coinduction
 adjunction, and a pinned injdim over the two-variable Koszul algebra."""
 
-import pytest
+import time
 
 from dgres import battery
 from dgres import dgcore as dg
@@ -10,12 +10,6 @@ from dgres import heartkit as hk
 from dgres import resolve as rv
 
 P = 32003
-K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
-
-
-@pytest.fixture(scope="module")
-def k2():
-    return battery.builtin_algebra(K2_SPEC, P)
 
 
 def heart_simples(R):
@@ -41,3 +35,15 @@ def test_injdim_heart_simple_over_k2(k2):
     assert rep.at_least == 3 and rep.exact is None
     assert [(s.edge, s.term_rank) for s in rep.stages] == [(0, 16), (1, 32), (2, 48)]
     assert rep.certificate["stage_bound"] == 6
+
+
+def test_injdim_heart_simple_over_k2_cap5(k2):
+    # the phi systems of stages 3 and 4 are the largest sparse solves of the
+    # ifij side (up to 3220 x 640 at about 0.1% nonzero)
+    start = time.perf_counter()
+    rep = rv.injdim(battery.heart_simple(k2, 0), cap=5)
+    elapsed = time.perf_counter() - start
+    assert rep.at_least == 5 and rep.exact is None
+    assert [(s.edge, s.term_rank) for s in rep.stages] == [(0, 16), (1, 32), (2, 48), (3, 64), (4, 80)]
+    assert rep.certificate["stage_bound"] == 10
+    assert elapsed < 1.0, f"injdim cap 5 took {elapsed:.2f} s"

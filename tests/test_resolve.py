@@ -73,7 +73,8 @@ def test_pd_heart_infinite(koszul, nilp2):
 
 def test_sppj_step_minimal_on_worked_example(koszul):
     M = battery.m_of(koszul, 3)
-    P, f, nxt, g, info = rv.sppj_step(M)
+    P, f, nxt, g, info, cohP = rv.sppj_step(M)
+    assert cohP.dims == dg.cohomology(P).dims
     assert info.term_rank == 1  # H^0(M) is free of rank one over H0
     assert dg.validate_morphism(f) == []
     assert dg.validate_morphism(g) == []
@@ -133,11 +134,12 @@ def test_injdim_heart_infinite(nilp2):
 
 def test_ifij_step_structure(koszul):
     k = battery.heart_simple(koszul, 0)
-    I, f, nxt, g, info = rv.ifij_step(k)
+    I, f, nxt, g, info, cohI = rv.ifij_step(k)
     assert dg.validate_module(I) == []
     assert dg.validate_morphism(f) == []
     hdims = dg.cohomology(I, with_action=False).dims
     assert hdims == {0: 1, 1: 1}
+    assert cohI.dims == hdims
 
 
 def test_fd_equals_pd(koszul, tri2):
@@ -176,9 +178,9 @@ def test_semisimple_zero(algebras):
         assert rv.semisimple_zero_check(algebras[name]) == want, name
 
 
-def test_duality_injdim_pd(algebras):
+def test_duality_injdim_pd(algebras, k2):
     # the value, exact or not, and the stage bound agree in every case
-    for R in algebras.values():
+    for R in list(algebras.values()) + [k2]:
         simples = hk.simples(hk.heart_of(R).h0)
         for M in [R.regular_module(), battery.m_of(R, 1)] + [battery.heart_simple(R, i) for i in range(len(simples))]:
             a = rv.injdim(M, cap=5)
