@@ -72,17 +72,19 @@ class SemifreeResolution:
         return out
 
 
-def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None) -> SemifreeResolution:
+def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
+             coh: dg.CohomologyData | None = None) -> SemifreeResolution:
     """Adjoin free generators top-down until the cone of the augmentation is
     acyclic above the floor.
 
     Each round kills the top surviving cohomology of the cone by one new
-    generator per minimal generator of that cohomology over H0.
+    generator per minimal generator of that cohomology over H0.  coh is
+    H(M), with or without the action, when the caller already has it.
     """
     R = M.algebra
     p = M.p
     sf = SemifreeResolution(M, floor)
-    coh0 = dg.cohomology(M, with_action=False)
+    coh0 = coh or dg.cohomology(M, with_action=False)
     if coh0.is_acyclic():
         sf.free = dg.free_module(R, [])
         sf.augmentation = dg.DGMorphism(sf.free, M, {})
@@ -132,11 +134,12 @@ def rhom(M: dg.DGModule, N: dg.DGModule, window: tuple[int, int],
          resolution: SemifreeResolution | None = None) -> HomTable:
     """Per-degree dimensions of H^n RHom(M, N) for n in the window."""
     a, b = window
-    if not N.degrees() or dg.is_acyclic(M):
+    cohM = dg.cohomology(M, with_action=False) if N.degrees() else None
+    if cohM is None or cohM.is_acyclic():
         return HomTable(window, {}, "semifree")
     floor = N.lo() - b - 2
     if resolution is None:
-        resolution = semifree(M, floor)
+        resolution = semifree(M, floor, coh=cohM)
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     hc = dg.hom_complex(resolution.free, N, window=(a, b))
@@ -150,11 +153,12 @@ def ltensor(M: dg.DGModule, L: dg.DGModule, window: tuple[int, int],
     """Per-degree dimensions of H^n (M ⊗^L L) for n in the window; L is a
     right module over the opposite algebra."""
     a, b = window
-    if not L.degrees() or dg.is_acyclic(M):
+    cohM = dg.cohomology(M, with_action=False) if L.degrees() else None
+    if cohM is None or cohM.is_acyclic():
         return TorTable(window, {}, "semifree")
     floor = a - L.hi() - 2
     if resolution is None:
-        resolution = semifree(M, floor)
+        resolution = semifree(M, floor, coh=cohM)
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     tc = dg.tensor_complex(resolution.free, L, window=(a, b))

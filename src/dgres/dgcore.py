@@ -58,9 +58,15 @@ class DGAlgebra:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # GF(p) arithmetic, and every inverse taken by exactla, needs p prime
-        if not la.is_prime(self.p):
-            raise hk.ConfigurationError(f"p must be prime, got p={self.p}")
+        # exactla's inverses need p prime, the trace-form radical p > dim R^0;
+        # an int64 contraction over R's basis adds <= total_dim products < p^2
+        p, n = self.p, self.total_dim
+        if not la.is_prime(p):
+            raise hk.ConfigurationError(f"p must be prime, got p={p}")
+        if p <= self.dim(0):
+            raise hk.ConfigurationError(f"p must exceed dim R^0 = {self.dim(0)}, got p={p}")
+        if p * p * max(n, 1) >= 2**63:
+            raise hk.ConfigurationError(f"p^2 * max(total_dim, 1) must be below 2^63, got p={p}, total_dim={n}")
 
     def dim(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -212,113 +218,118 @@ def zero_module(R: DGAlgebra) -> DGModule:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: each identity is one tensor equation per degree pair or triple,
+# each contraction reduced mod p before terms combine; failures are read back
+# where the sides differ.  t(i, j)[a, b] is x_a r_b, d(i) leaves degree i.
+
+_ASSOC_BLOCK = 1 << 20  # entries of one associativity slab, to bound memory
+
+
+def _differ(lhs, rhs, p):
+    """Index tuples over all but the last axis where lhs != rhs mod p."""
+    return np.argwhere(((lhs - rhs) % p).any(axis=-1))
+
+
+def _dd_failures(X) -> list[str]:
+    return [f"d o d != 0 at degree {i}" for i in X.degrees() if np.any(la.matmul(X.diff_mat(i + 1), X.diff_mat(i), X.p))]
+
+
+def _leibniz_failures(t, d, dR, i, j, p):
+    lhs = np.einsum("abx,cx->abc", t(i, j), d(i + j)) % p
+    rhs = np.einsum("xa,xbc->abc", d(i), t(i + 1, j)) % p + (-1) ** i * (np.einsum("yb,ayc->abc", dR(j), t(i, j + 1)) % p)
+    return _differ(lhs, rhs, p)
+
+
+def _assoc_failures(t, mR, i, j, k, p):
+    ab, bc, a_bc, ab_c = t(i, j), mR(j, k), t(i, j + k), t(i + j, k)
+    step = max(1, _ASSOC_BLOCK // max(1, bc.shape[0] * bc.shape[1] * a_bc.shape[2]))
+    out = []
+    for a0 in range(0, ab.shape[0], step):
+        lhs = np.einsum("abx,xcy->abcy", ab[a0 : a0 + step], ab_c) % p
+        rhs = np.einsum("bcx,axy->abcy", bc, a_bc[a0 : a0 + step]) % p
+        out += [(a0 + a, b, c) for a, b, c in _differ(lhs, rhs, p)]
+    return out
 
 
 def validate_algebra(R: DGAlgebra) -> list[str]:
-    bad = []
-    p = R.p
-    for i in R.degrees():
-        if i > 0:
-            bad.append(f"component in positive degree {i}")
+    """Failures of the DG-algebra identities, each checked as a tensor
+    equation mod p with m_ij = mult_tensor(i, j), d_i = diff_mat(i), unit u:
+
+      d o d          d_{i+1} d_i = 0
+      unit           einsum("a,abc->bc", u, m_0j) = 1 = einsum("b,abc->ac", u, m_j0)
+      Leibniz        einsum("abx,cx->abc", m_ij, d_{i+j})
+                       = einsum("xa,xbc->abc", d_i, m_{i+1,j}) + (-1)^i einsum("yb,ayc->abc", d_j, m_{i,j+1})
+      associativity  einsum("abx,xcy->abcy", m_ij, m_{i+j,k}) = einsum("bcx,axy->abcy", m_jk, m_{i,j+k})
+    """
+    bad = [f"component in positive degree {i}" for i in R.degrees() if i > 0]
     if R.dim(0) == 0:
-        bad.append("no degree-zero component")
-        return bad
-    # d o d = 0
-    for i in R.degrees():
-        if np.any(la.matmul(R.diff_mat(i + 1), R.diff_mat(i), p)):
-            bad.append(f"d o d != 0 at degree {i}")
-    # unit
-    for j in R.degrees():
+        return bad + ["no degree-zero component"]
+    p, degs, m, u = R.p, R.degrees(), R.mult_tensor, la.as_field(R.unit, R.p)
+    bad += _dd_failures(R)
+    for j in degs:
+        left = ((np.einsum("a,abc->bc", u, m(0, j)) - la.eye(R.dim(j))) % p).any(axis=1)
+        right = ((np.einsum("b,abc->ac", u, m(j, 0)) - la.eye(R.dim(j))) % p).any(axis=1)
         for b in range(R.dim(j)):
-            e = la.eye(R.dim(j))[b]
-            if np.any(R.multiply(R.unit, 0, e, j) != e):
-                bad.append(f"unit fails on left of basis ({j},{b})")
-            if np.any(R.multiply(e, j, R.unit, 0) != e):
-                bad.append(f"unit fails on right of basis ({j},{b})")
-    # graded Leibniz on basis pairs
-    for i in R.degrees():
-        for j in R.degrees():
-            for a in range(R.dim(i)):
-                for b in range(R.dim(j)):
-                    ea, eb = la.eye(R.dim(i))[a], la.eye(R.dim(j))[b]
-                    lhs = la.matmul(R.diff_mat(i + j), R.multiply(ea, i, eb, j), p)
-                    rhs = (
-                        R.multiply(la.matmul(R.diff_mat(i), ea, p), i + 1, eb, j)
-                        + (-1) ** i * R.multiply(ea, i, la.matmul(R.diff_mat(j), eb, p), j + 1)
-                    ) % p
-                    if np.any(lhs != rhs):
-                        bad.append(f"Leibniz fails at degrees ({i},{j}) basis ({a},{b})")
-    # associativity on basis triples
-    for i in R.degrees():
-        for j in R.degrees():
-            for k in R.degrees():
-                for a in range(R.dim(i)):
-                    for b in range(R.dim(j)):
-                        ea, eb = la.eye(R.dim(i))[a], la.eye(R.dim(j))[b]
-                        ab = R.multiply(ea, i, eb, j)
-                        for c in range(R.dim(k)):
-                            ec = la.eye(R.dim(k))[c]
-                            lhs = R.multiply(ab, i + j, ec, k)
-                            rhs = R.multiply(ea, i, R.multiply(eb, j, ec, k), j + k)
-                            if np.any(lhs != rhs):
-                                bad.append(f"associativity fails at ({i},{j},{k}) basis ({a},{b},{c})")
+            bad += [f"unit fails on {side} of basis ({j},{b})" for side, x in (("left", left), ("right", right)) if x[b]]
+    for i in degs:
+        for j in degs:
+            bad += [f"Leibniz fails at degrees ({i},{j}) basis ({a},{b})"
+                    for a, b in _leibniz_failures(m, R.diff_mat, R.diff_mat, i, j, p)]
+    for i in degs:
+        for j in degs:
+            for k in degs:
+                bad += [f"associativity fails at ({i},{j},{k}) basis ({a},{b},{c})"
+                        for a, b, c in _assoc_failures(m, m, i, j, k, p)]
     return bad
 
 
 def validate_module(M: DGModule) -> list[str]:
-    bad = []
+    """Failures of the right DG-module identities, each checked as a tensor
+    equation mod p with a_ij = act_tensor(i, j), d_i = diff_mat(i) and the
+    algebra's product m_jk, differential d^R and unit u:
+
+      d o d          d_{i+1} d_i = 0
+      unit           einsum("b,abc->ac", u, a_i0) = 1
+      Leibniz        einsum("abx,cx->abc", a_ij, d_{i+j})
+                       = einsum("xa,xbc->abc", d_i, a_{i+1,j}) + (-1)^i einsum("yb,ayc->abc", d^R_j, a_{i,j+1})
+      associativity  einsum("abx,xcy->abcy", a_ij, a_{i+j,k}) = einsum("bcx,axy->abcy", m_jk, a_{i,j+k})
+
+    An associativity failure is reported once per failing basis triple.
+    """
     R, p = M.algebra, M.p
+    bad, u = _dd_failures(M), la.as_field(R.unit, p)
     for i in M.degrees():
-        if np.any(la.matmul(M.diff_mat(i + 1), M.diff_mat(i), p)):
-            bad.append(f"d o d != 0 at degree {i}")
-    for i in M.degrees():
-        for m in range(M.dim(i)):
-            em = la.eye(M.dim(i))[m]
-            if np.any(M.action(em, i, R.unit, 0) != em):
-                bad.append(f"unit fails on basis ({i},{m})")
+        unit = np.einsum("b,abc->ac", u, M.act_tensor(i, 0))
+        bad += [f"unit fails on basis ({i},{m})" for (m,) in _differ(unit, la.eye(M.dim(i)), p)]
     for i in M.degrees():
         for j in R.degrees():
-            for m in range(M.dim(i)):
-                for r in range(R.dim(j)):
-                    em, er = la.eye(M.dim(i))[m], la.eye(R.dim(j))[r]
-                    lhs = la.matmul(M.diff_mat(i + j), M.action(em, i, er, j), p)
-                    rhs = (
-                        M.action(la.matmul(M.diff_mat(i), em, p), i + 1, er, j)
-                        + (-1) ** i * M.action(em, i, la.matmul(R.diff_mat(j), er, p), j + 1)
-                    ) % p
-                    if np.any(lhs != rhs):
-                        bad.append(f"module Leibniz fails at ({i},{j}) basis ({m},{r})")
-                    mr = M.action(em, i, er, j)
-                    for k in R.degrees():
-                        for s in range(R.dim(k)):
-                            es = la.eye(R.dim(k))[s]
-                            lhs2 = M.action(mr, i + j, es, k)
-                            rhs2 = M.action(em, i, R.multiply(er, j, es, k), j + k)
-                            if np.any(lhs2 != rhs2):
-                                bad.append(f"action associativity fails at ({i},{j},{k})")
+            bad += [f"module Leibniz fails at ({i},{j}) basis ({m},{r})"
+                    for m, r in _leibniz_failures(M.act_tensor, M.diff_mat, R.diff_mat, i, j, p)]
+            for k in R.degrees():
+                fails = _assoc_failures(M.act_tensor, R.mult_tensor, i, j, k, p)
+                bad += [f"action associativity fails at ({i},{j},{k})"] * len(fails)
     return bad
 
 
 def validate_morphism(f: DGMorphism) -> list[str]:
-    bad = []
+    """Failures of a strict DG-module map f : M -> N with blocks f_i, each
+    checked as a tensor equation mod p with a^M, a^N the action tensors:
+
+      chain map  f_{i+1} d^M_i = d^N_i f_i
+      R-linear   einsum("mrx,yx->mry", a^M_ij, f_{i+j}) = einsum("xm,xry->mry", f_i, a^N_ij)
+    """
     M, N, p = f.source, f.target, f.p
+    bad = []
     if M.algebra is not N.algebra and M.algebra.dims != N.algebra.dims:
         bad.append("source and target over different algebras")
     for i in set(M.degrees()) | set(N.degrees()):
-        lhs = la.matmul(f.block(i + 1), M.diff_mat(i), p)
-        rhs = la.matmul(N.diff_mat(i), f.block(i), p)
-        if np.any(lhs != rhs):
+        if np.any(la.matmul(f.block(i + 1), M.diff_mat(i), p) != la.matmul(N.diff_mat(i), f.block(i), p)):
             bad.append(f"not a chain map at degree {i}")
     for i in M.degrees():
         for j in M.algebra.degrees():
-            for m in range(M.dim(i)):
-                for r in range(M.algebra.dim(j)):
-                    em, er = la.eye(M.dim(i))[m], la.eye(M.algebra.dim(j))[r]
-                    lhs = f.apply(M.action(em, i, er, j), i + j)
-                    rhs = N.action(f.apply(em, i), i, er, j)
-                    if np.any(lhs != rhs):
-                        bad.append(f"not R-linear at ({i},{j}) basis ({m},{r})")
+            lhs = np.einsum("mrx,yx->mry", M.act_tensor(i, j), f.block(i + j)) % p
+            rhs = np.einsum("xm,xry->mry", f.block(i), N.act_tensor(i, j)) % p
+            bad += [f"not R-linear at ({i},{j}) basis ({m},{r})" for m, r in _differ(lhs, rhs, p)]
     return bad
 
 
@@ -403,23 +414,18 @@ def cohomology(M, with_action: bool = True) -> CohomologyData:
     dims, reps, cyc, cproj = {}, {}, {}, {}
     for i in M.degrees():
         Z = la.kernel(M.diff_mat(i), p)
-        dprev = M.diff_mat(i - 1)
-        B = la.span(dprev.T, M.dim(i), p) if M.dim(i - 1) else la.span(la.zeros(0, M.dim(i)), M.dim(i), p)
+        B = la.span(M.diff_mat(i - 1).T, M.dim(i), p)
         # coordinates of the boundary space inside the cycle space, read at
-        # the pivots of Z
+        # the pivots of Z; B's pivots are among Z's, so bc is already in RREF
         bc = B.basis[:, Z.pivots]
         if np.any(B.basis != la.matmul(bc, Z.basis, p)):
             raise RuntimeError("boundary is not a cycle; differential tables corrupt")
-        Bin = la.span(bc, Z.dim, p)
+        Bin = la.Subspace(p, Z.dim, bc, [Z.pivots.index(c) for c in B.pivots])
         proj, sect = la.quotient_basis(Bin)
-        h = proj.shape[0]
-        if h == 0:
-            cyc[i] = Z
-            continue
-        dims[i] = h
-        reps[i] = la.matmul(Z.basis.T, sect, p)  # columns are representatives
         cyc[i] = Z
-        cproj[i] = proj
+        if proj.shape[0]:
+            dims[i], cproj[i] = proj.shape[0], proj
+            reps[i] = la.matmul(Z.basis.T, sect, p)  # columns are representatives
     data = CohomologyData(p, dims, reps, cyc, cproj)
     if with_action and isinstance(M, DGModule):
         _fill_action(M, data)
@@ -468,14 +474,9 @@ def heart_module(M: DGModule, i: int, coh: CohomologyData | None = None) -> hk.F
     hd = hk.heart_of(M.algebra)
     coh = coh or cohomology(M)
     h = coh.dim(i)
-    action = np.zeros((hd.h0.dim, h, h), dtype=np.int64)
-    if h:
-        # H0 basis classes are exactly cohR's degree-zero classes
-        t = coh.action.get((i, 0))
-        if t is None:
-            t = np.zeros((h, hd.h0.dim, h), dtype=np.int64)
-        for b in range(hd.h0.dim):
-            action[b] = t[:, b, :].T
+    # H0 basis classes are exactly cohR's degree-zero classes; action[b] = t[:, b, :].T
+    t = coh.action.get((i, 0), np.zeros((h, hd.h0.dim, h), dtype=np.int64))
+    action = np.transpose(t, (1, 2, 0)).copy()
     return hk.FDModule(hd.h0, h, action, label=f"H^{i}({M.label})")
 
 
@@ -721,9 +722,7 @@ def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
             if nb == 0 or M.dim(i) == 0:
                 continue
             c0 = F._offsets[(i, g)]
-            b[:, c0 : c0 + nb] = np.stack(
-                [M.action(images[g], s, la.eye(nb)[t], i - s) for t in range(nb)], axis=1
-            )
+            b[:, c0 : c0 + nb] = np.einsum("x,xtc->ct", la.as_field(images[g], p), M.act_tensor(s, i - s)) % p
         blocks[i] = b
     return DGMorphism(F, M, blocks)
 

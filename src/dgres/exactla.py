@@ -15,9 +15,13 @@ are set aside first.  The reduced row echelon form is unique, so this gives
 the same matrix as a full sweep.
 
 p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
-is built.  Callers that rely on the trace-form radical computation
-additionally need p larger than the dimension of the algebra, which is
-enforced where the algebra is built.
+is built, together with p > dim R^0 (the trace-form radical of R^0 needs it)
+and p^2 * max(total_dim, 1) < 2^63.  Entries are reduced mod p, so a product
+of two entries is below p^2 and an int64 sum of n such products is exact
+while n * p^2 < 2^63; matmul over an inner dimension n needs exactly that.
+The bound checked at construction covers every contraction over the
+algebra's own basis, such as dgcore's structure checks; at p = 32003 any
+inner dimension below 9e9 is safe.
 """
 
 from __future__ import annotations

@@ -152,24 +152,15 @@ def _action_map(M, cohM, s, i):
         return la.zeros(tgt, 0), 0
     qa = cohM.action.get((s, 0), np.zeros((q, hd.h0.dim, q), dtype=np.int64))
     av = cohR.action.get((0, -i), np.zeros((hd.h0.dim, v, v), dtype=np.int64))
-    rels = []
-    for qi in range(q):
-        for a in range(hd.h0.dim):
-            qa_vec = qa[qi, a]  # q . a in H^sup coords
-            for vi in range(v):
-                rel = np.zeros(q * v, dtype=np.int64)
-                rel[np.arange(q) * v + vi] = qa_vec
-                av_vec = av[a, vi]  # a . v in H^{-i} coords
-                rel[qi * v + np.arange(v)] = (rel[qi * v + np.arange(v)] - av_vec) % p
-                rels.append(rel)
-    sub = la.span(rels if rels else la.zeros(0, q * v), q * v, p)
+    # relation rows (q . a) (x) v - q (x) (a . v), indexed by (q, a, v); most
+    # vanish, and dropping them first keeps the copies made by span small
+    rows = np.einsum("iaj,uw->iaujw", qa, la.eye(v))
+    rows -= np.einsum("ij,auw->iaujw", la.eye(q), av)
+    rows = rows.reshape(-1, q * v)
+    sub = la.span(rows[rows.any(axis=1)], q * v, p)
     proj, sect = la.quotient_basis(sub)
-    big = np.zeros((tgt, q * v), dtype=np.int64)
-    t = cohM.action.get((s, -i))
-    if t is not None:
-        for qi in range(q):
-            for vi in range(v):
-                big[:, qi * v + vi] = t[qi, vi]
+    t = cohM.action.get((s, -i), np.zeros((q, v, tgt), dtype=np.int64))
+    big = t.reshape(q * v, tgt).T
     mat = la.matmul(big, sect, p)
     return mat, proj.shape[0]
 

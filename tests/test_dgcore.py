@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from dgres import battery
 from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
+from dgres import resolve as rv
 from dgres import textio
 
 P = 32003
@@ -20,6 +25,239 @@ def test_battery_algebras_validate(algebras):
     for name, R in algebras.items():
         assert dg.validate_algebra(R) == [], name
         assert dg.validate_module(R.regular_module()) == [], name
+
+
+# ---------------------------------------------------------------------------
+# the basis-loop validators, kept as test-only oracles for the tensor checks
+
+
+def validate_algebra_oracle(R):
+    """Reference check of a DG-algebra: every identity on basis vectors."""
+    bad = []
+    p = R.p
+    for i in R.degrees():
+        if i > 0:
+            bad.append(f"component in positive degree {i}")
+    if R.dim(0) == 0:
+        bad.append("no degree-zero component")
+        return bad
+    for i in R.degrees():
+        if np.any(la.matmul(R.diff_mat(i + 1), R.diff_mat(i), p)):
+            bad.append(f"d o d != 0 at degree {i}")
+    for j in R.degrees():
+        for b in range(R.dim(j)):
+            e = la.eye(R.dim(j))[b]
+            if np.any(R.multiply(R.unit, 0, e, j) != e):
+                bad.append(f"unit fails on left of basis ({j},{b})")
+            if np.any(R.multiply(e, j, R.unit, 0) != e):
+                bad.append(f"unit fails on right of basis ({j},{b})")
+    for i in R.degrees():
+        for j in R.degrees():
+            for a in range(R.dim(i)):
+                for b in range(R.dim(j)):
+                    ea, eb = la.eye(R.dim(i))[a], la.eye(R.dim(j))[b]
+                    lhs = la.matmul(R.diff_mat(i + j), R.multiply(ea, i, eb, j), p)
+                    rhs = (
+                        R.multiply(la.matmul(R.diff_mat(i), ea, p), i + 1, eb, j)
+                        + (-1) ** i * R.multiply(ea, i, la.matmul(R.diff_mat(j), eb, p), j + 1)
+                    ) % p
+                    if np.any(lhs != rhs):
+                        bad.append(f"Leibniz fails at degrees ({i},{j}) basis ({a},{b})")
+    for i in R.degrees():
+        for j in R.degrees():
+            for k in R.degrees():
+                for a in range(R.dim(i)):
+                    for b in range(R.dim(j)):
+                        ea, eb = la.eye(R.dim(i))[a], la.eye(R.dim(j))[b]
+                        ab = R.multiply(ea, i, eb, j)
+                        for c in range(R.dim(k)):
+                            ec = la.eye(R.dim(k))[c]
+                            lhs = R.multiply(ab, i + j, ec, k)
+                            rhs = R.multiply(ea, i, R.multiply(eb, j, ec, k), j + k)
+                            if np.any(lhs != rhs):
+                                bad.append(f"associativity fails at ({i},{j},{k}) basis ({a},{b},{c})")
+    return bad
+
+
+def validate_module_oracle(M):
+    """Reference check of a right DG-module: every identity on basis vectors."""
+    bad = []
+    R, p = M.algebra, M.p
+    for i in M.degrees():
+        if np.any(la.matmul(M.diff_mat(i + 1), M.diff_mat(i), p)):
+            bad.append(f"d o d != 0 at degree {i}")
+    for i in M.degrees():
+        for m in range(M.dim(i)):
+            em = la.eye(M.dim(i))[m]
+            if np.any(M.action(em, i, R.unit, 0) != em):
+                bad.append(f"unit fails on basis ({i},{m})")
+    for i in M.degrees():
+        for j in R.degrees():
+            for m in range(M.dim(i)):
+                for r in range(R.dim(j)):
+                    em, er = la.eye(M.dim(i))[m], la.eye(R.dim(j))[r]
+                    lhs = la.matmul(M.diff_mat(i + j), M.action(em, i, er, j), p)
+                    rhs = (
+                        M.action(la.matmul(M.diff_mat(i), em, p), i + 1, er, j)
+                        + (-1) ** i * M.action(em, i, la.matmul(R.diff_mat(j), er, p), j + 1)
+                    ) % p
+                    if np.any(lhs != rhs):
+                        bad.append(f"module Leibniz fails at ({i},{j}) basis ({m},{r})")
+                    mr = M.action(em, i, er, j)
+                    for k in R.degrees():
+                        for s in range(R.dim(k)):
+                            es = la.eye(R.dim(k))[s]
+                            lhs2 = M.action(mr, i + j, es, k)
+                            rhs2 = M.action(em, i, R.multiply(er, j, es, k), j + k)
+                            if np.any(lhs2 != rhs2):
+                                bad.append(f"action associativity fails at ({i},{j},{k})")
+    return bad
+
+
+def validate_morphism_oracle(f):
+    """Reference check of a strict DG-module map: every identity on basis vectors."""
+    bad = []
+    M, N, p = f.source, f.target, f.p
+    if M.algebra is not N.algebra and M.algebra.dims != N.algebra.dims:
+        bad.append("source and target over different algebras")
+    for i in set(M.degrees()) | set(N.degrees()):
+        lhs = la.matmul(f.block(i + 1), M.diff_mat(i), p)
+        rhs = la.matmul(N.diff_mat(i), f.block(i), p)
+        if np.any(lhs != rhs):
+            bad.append(f"not a chain map at degree {i}")
+    for i in M.degrees():
+        for j in M.algebra.degrees():
+            for m in range(M.dim(i)):
+                for r in range(M.algebra.dim(j)):
+                    em, er = la.eye(M.dim(i))[m], la.eye(M.algebra.dim(j))[r]
+                    lhs = f.apply(M.action(em, i, er, j), i + j)
+                    rhs = N.action(f.apply(em, i), i, er, j)
+                    if np.any(lhs != rhs):
+                        bad.append(f"not R-linear at ({i},{j}) basis ({m},{r})")
+    return bad
+
+
+def _bump(tables, rng):
+    """A copy of a dict of arrays with one entry moved by a nonzero amount mod P."""
+    keys = sorted(k for k, t in tables.items() if t.size)
+    key = keys[rng.integers(len(keys))]
+    out = {k: t.copy() for k, t in tables.items()}
+    idx = tuple(int(rng.integers(n)) for n in out[key].shape)
+    out[key][idx] = (out[key][idx] + rng.integers(1, P)) % P
+    return out
+
+
+def _heart_simples(R):
+    return [battery.heart_simple(R, i) for i in range(len(hk.simples(hk.heart_of(R).h0)))]
+
+
+def _mutants(tables, rng, count):
+    return [_bump(tables, rng) for _ in range(count)] if any(t.size for t in tables.values()) else []
+
+
+def test_validate_algebra_matches_oracle_on_mutants(algebras, k2):
+    rng = np.random.default_rng(0)
+    caught = 0
+    for name, R in dict(algebras, K2=k2).items():
+        mutants = [R]
+        mutants += [replace(R, mult=m, _memo={}) for m in _mutants(R.mult, rng, 6)]
+        mutants += [replace(R, diff=d, _memo={}) for d in _mutants(R.diff, rng, 2)]
+        mutants += [replace(R, unit=u[0], _memo={}) for u in _mutants({0: R.unit}, rng, 2)]
+        for X in mutants:
+            want = validate_algebra_oracle(X)
+            assert dg.validate_algebra(X) == want, name
+            caught += bool(want)
+    assert caught >= 50  # 56 of the 60 mutants break an identity
+
+
+def test_validate_module_matches_oracle_on_mutants(algebras, k2):
+    rng = np.random.default_rng(1)
+    caught = 0
+    for name, R in dict(algebras, K2=k2).items():
+        for M in [R.regular_module()] + _heart_simples(R):
+            mutants = [M]
+            mutants += [replace(M, act=a) for a in _mutants(M.act, rng, 3)]
+            mutants += [replace(M, diff=d) for d in _mutants(M.diff, rng, 2)]
+            for X in mutants:
+                want = validate_module_oracle(X)
+                # the oracle interleaves Leibniz and associativity messages
+                assert Counter(dg.validate_module(X)) == Counter(want), (name, M.label)
+                caught += bool(want)
+    assert caught >= 45  # all 52 mutants break an identity
+
+
+def test_validate_morphism_matches_oracle_on_mutants(algebras, k2):
+    rng = np.random.default_rng(2)
+    caught = 0
+    for name, R in dict(algebras, K2=k2).items():
+        for M in [R.regular_module()] + _heart_simples(R):
+            res = rv.IfijResolution(M)
+            res.ensure(3)
+            for f in res.maps:
+                for X in [f] + [replace(f, blocks=b) for b in _mutants(f.blocks, rng, 2)]:
+                    want = validate_morphism_oracle(X)
+                    assert dg.validate_morphism(X) == want, (name, M.label)
+                    caught += bool(want)
+    # 29 of the 48 mutants break an identity; a scalar multiple of a map
+    # between one-dimensional modules, say, is still a strict map
+    assert caught >= 25
+
+
+def test_associativity_slabs_give_the_same_report(k2, monkeypatch):
+    rng = np.random.default_rng(3)
+    reg = k2.regular_module()
+    objs = [replace(k2, mult=m, _memo={}) for m in _mutants(k2.mult, rng, 4)]
+    objs += [replace(reg, act=a) for a in _mutants(reg.act, rng, 4)]
+    whole = [dg.validate(X) for X in objs]
+    assert sum("associativity" in r for rep in whole for r in rep) > 0
+    monkeypatch.setattr(dg, "_ASSOC_BLOCK", 1)  # one first-factor basis vector per slab
+    assert [dg.validate(X) for X in objs] == whole
+
+
+def test_parse_rejects_broken_product(k2):
+    text = textio.emit(textio.InputDocument(P, k2))
+    assert "\nmul y x = x*y\n" in text
+    with pytest.raises(textio.ParseError, match="associativity|Leibniz"):
+        textio.parse(text.replace("\nmul y x = x*y\n", "\nmul y x = 0\n"))
+
+
+def test_p_bounds_checked_at_construction():
+    # the trace-form radical of R^0 needs p > dim R^0 = 3
+    with pytest.raises(hk.ConfigurationError, match=r"dim R\^0 = 3, got p=3"):
+        battery.builtin_algebra("triangular(2)", 3)
+    assert battery.builtin_algebra("triangular(2)", 5).dims == {0: 3}
+    # above 3.04e9 one product of two entries already overflows int64
+    p = next(n for n in itertools.count(3_040_000_000) if la.is_prime(n))
+    a = np.full((3, 3), p - 1, dtype=np.int64)
+    assert la.matmul(a, a, p)[0, 0] != 3 * (p - 1) ** 2 % p
+    with pytest.raises(hk.ConfigurationError, match=rf"2\^63, got p={p}, total_dim=1"):
+        battery.builtin_algebra("field()", p)
+
+
+def test_boundaries_in_cycles_are_rref_without_elimination(algebras, k2, monkeypatch):
+    # cohomology builds B inside Z from the pivots of B and Z; it must be the
+    # subspace that eliminating bc again gives
+    modules = []
+    for R in dict(algebras, K2=k2).values():
+        for M in [R.regular_module()] + _heart_simples(R):
+            sppj, ifij = rv.SppjResolution(M), rv.IfijResolution(M)
+            sppj.ensure(2)
+            ifij.ensure(2)
+            modules += [M] + sppj.terms + ifij.terms
+    seen = []
+    quotient_basis = la.quotient_basis
+
+    def spy(sub):
+        seen.append(sub)
+        return quotient_basis(sub)
+
+    monkeypatch.setattr(la, "quotient_basis", spy)
+    for X in modules:
+        dg.cohomology(X, with_action=False)
+    assert sum(sub.dim for sub in seen) > 0
+    for sub in seen:
+        again = la.span(sub.basis, sub.ambient_dim, P)
+        assert sub == again and sub.pivots == again.pivots
 
 
 def test_koszul_tables(koszul):
