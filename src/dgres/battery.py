@@ -45,9 +45,8 @@ def nilpotent_dga(p=DEFAULT_PRIME, m=2, seed=0) -> dg.DGAlgebra:
     return _dga_from_ordinary(p, mult, unit, f"nilpotent({m})", names=names, seed=seed)
 
 
-def triangular_dga(p=DEFAULT_PRIME, n=2, seed=0) -> dg.DGAlgebra:
-    """Upper triangular n x n matrices."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+def _matrix_units(p, n, pairs, label, seed) -> dg.DGAlgebra:
+    """The span of the matrix units E_ij, (i, j) in pairs, closed under products."""
     idx = {pr: t for t, pr in enumerate(pairs)}
     d = len(pairs)
     mult = np.zeros((d, d, d), dtype=np.int64)
@@ -59,23 +58,16 @@ def triangular_dga(p=DEFAULT_PRIME, n=2, seed=0) -> dg.DGAlgebra:
     for i in range(n):
         unit[idx[(i, i)]] = 1
     names = [f"E{i + 1}{j + 1}" for (i, j) in pairs]
-    return _dga_from_ordinary(p, mult, unit, f"triangular({n})", names=names, seed=seed)
+    return _dga_from_ordinary(p, mult, unit, label, names=names, seed=seed)
+
+
+def triangular_dga(p=DEFAULT_PRIME, n=2, seed=0) -> dg.DGAlgebra:
+    """Upper triangular n x n matrices."""
+    return _matrix_units(p, n, [(i, j) for i in range(n) for j in range(i, n)], f"triangular({n})", seed)
 
 
 def matrix_dga(p=DEFAULT_PRIME, n=2, seed=0) -> dg.DGAlgebra:
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    idx = {pr: t for t, pr in enumerate(pairs)}
-    d = len(pairs)
-    mult = np.zeros((d, d, d), dtype=np.int64)
-    for (i, j), a in idx.items():
-        for (k, l), b in idx.items():
-            if j == k:
-                mult[a, b, idx[(i, l)]] = 1
-    unit = np.zeros(d, dtype=np.int64)
-    for i in range(n):
-        unit[idx[(i, i)]] = 1
-    names = [f"E{i + 1}{j + 1}" for (i, j) in pairs]
-    return _dga_from_ordinary(p, mult, unit, f"matrix({n})", names=names, seed=seed)
+    return _matrix_units(p, n, [(i, j) for i in range(n) for j in range(n)], f"matrix({n})", seed)
 
 
 def product_dga(A: dg.DGAlgebra, B: dg.DGAlgebra, seed=0) -> dg.DGAlgebra:

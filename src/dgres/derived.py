@@ -175,103 +175,87 @@ class InsufficientStagesError(RuntimeError):
     pass
 
 
-def _hom_spaces_along_sppj(res: SppjResolution, N: hk.FDModule, need_slot: int, stage_cap: int = 64):
-    """Stage data (sups, Hom spaces, transition matrices) covering all slots
-    up to need_slot."""
-    hd = hk.heart_of(res.base.algebra)
-    p = res.base.p
-    # build stages until the slot passes the window or the resolution ends
-    i = 0
-    while True:
-        s = res.sup_term(i)
-        if s is None:
-            last = i - 1
-            break
-        if i - s > need_slot + 1:
-            last = i
+def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int]:
+    """Nonzero dimensions at the slots in window, read off the stages of res.
+
+    Stage i with edge e = res.edge(i) sits at slot(i, e).  group(Q) is
+    (dim, ...) for the group of the stage's heart module Q = H^e(T_i).
+    When stages i-1 and i share their edge, induced(alpha, G, H) is the map
+    of groups induced by alpha = H^e(res.delta(i)), where G and H are the
+    groups of delta's source and target stage.  A slot's group is the middle
+    cohomology of the three-term complex through its stage, whose outer maps
+    exist between stages of equal edge only, so for every route and either
+    direction of the maps
+
+        dim_i - rank(trans_i) [e_{i-1} = e_i] - rank(trans_{i+1}) [e_{i+1} = e_i].
+    """
+    a, b = window
+    if res.cohs[0].is_acyclic():
+        return {}
+    up = slot(1, 0) > slot(0, 0)  # slots rise along sppj and ifij, fall along spft
+    edges = []
+    while (e := res.edge(len(edges))) is not None:
+        i, n = len(edges), slot(len(edges), e)
+        edges.append(e)
+        if (n > b + 1) if up else (n < a - 1):
             break
         if i > stage_cap:
             raise InsufficientStagesError("extend resolution: stage cap reached before covering the window")
-        i += 1
-    sups, homs, qs, cohs = {}, {}, {}, {}
-    for i in range(last + 1):
-        s = res.sup_term(i)
-        if s is None:
-            break
-        sups[i] = s
-        cohs[i] = res.term_cohs[i]
-        qs[i] = dg.heart_module(res.terms[i], s, cohs[i])
-        homs[i] = hk.hom_space(qs[i], N)
+    groups = [group(dg.heart_module(res.terms[i], e, res.term_cohs[i])) for i, e in enumerate(edges)]
     trans = {}
-    for i in sorted(sups):
-        if i - 1 in sups and sups[i - 1] == sups[i]:
-            alpha = dg.cohomology_map(res.delta(i), sups[i], cohs[i], cohs[i - 1])
-            cols = []
-            for k in range(homs[i - 1].dim):
-                cols.append(homs[i].coords(la.matmul(homs[i - 1].matrix(k), alpha, p)))
-            trans[i] = np.stack(cols, axis=1) if cols else la.zeros(homs[i].dim, 0)
-    return sups, homs, trans
+    for i in range(1, len(edges)):
+        if edges[i - 1] == edges[i]:
+            src, tgt = (i, i - 1) if res.edge_name == "sup" else (i - 1, i)
+            alpha = dg.cohomology_map(res.delta(i), edges[i], res.term_cohs[src], res.term_cohs[tgt])
+            trans[i] = induced(alpha, groups[src], groups[tgt])
+    p = res.base.p
+    dims = {}
+    for i, e in enumerate(edges):
+        n = slot(i, e)
+        if not a <= n <= b:
+            continue
+        next_eq = res.edge(i + 1) == e
+        if next_eq and i + 1 == len(edges):
+            raise InsufficientStagesError("extend resolution: neighbour stage missing")
+        val = groups[i][0] - (la.rank(trans[i], p) if i in trans else 0) - (la.rank(trans[i + 1], p) if next_eq else 0)
+        if val:
+            dims[n] = val
+    return dims
+
+
+def _pulled_back(alpha, G, H):
+    """Hom(Q_H, N) -> Hom(Q_G, N), phi -> phi alpha, for alpha : Q_G -> Q_H."""
+    (_, g), (_, h) = G, H
+    cols = [g.coords(la.matmul(h.matrix(k), alpha, g.p)) for k in range(h.dim)]
+    return np.stack(cols, axis=1) if cols else la.zeros(g.dim, 0)
+
+
+def _pushed_forward(beta, G, H):
+    """Hom(N, J_G) -> Hom(N, J_H), phi -> beta phi, for beta : J_G -> J_H."""
+    (_, g), (_, h) = G, H
+    cols = [h.coords(la.matmul(beta, g.matrix(k), h.p)) for k in range(g.dim)]
+    return np.stack(cols, axis=1) if cols else la.zeros(h.dim, 0)
 
 
 def hom_table_via_sppj(M: dg.DGModule, N: hk.FDModule, resolution: SppjResolution | None = None,
                        window: tuple[int, int] = (0, 8)) -> HomTable:
     """Hom(M, N[n]) for a heart module N, read off a sup-projective
-    resolution through the slot formula."""
-    a, b = window
+    resolution through the slot formula, slots n = i - sup P_i."""
     res = resolution or SppjResolution(M)
-    if res.cohs[0].is_acyclic():
-        return HomTable(window, {}, "sppj")
-    p = M.p
-    sups, homs, trans = _hom_spaces_along_sppj(res, N, b)
-    dims = {}
-    for i, s in sups.items():
-        slot = i - s
-        if slot < a or slot > b:
-            continue
-        prev_eq = (i - 1) in sups and sups[i - 1] == s
-        nxt = res.sup_term(i + 1)
-        next_eq = nxt is not None and nxt == s
-        if next_eq and (i + 1) not in homs:
-            raise InsufficientStagesError("extend resolution: neighbour stage missing")
-        if not prev_eq and not next_eq:
-            val = homs[i].dim
-        elif not prev_eq and next_eq:
-            val = _ker_dim(trans[i + 1], homs[i].dim, p)
-        elif prev_eq and not next_eq:
-            val = homs[i].dim - la.rank(trans[i], p)
-        else:
-            val = _ker_dim(trans[i + 1], homs[i].dim, p) - la.rank(trans[i], p)
-        if val:
-            dims[slot] = val
+    dims = _slot_dims(res, lambda i, s: i - s, lambda Q: ((h := hk.hom_space(Q, N)).dim, h), _pulled_back, window)
     return HomTable(window, dims, "sppj")
-
-
-def _ker_dim(mat, src_dim, p):
-    """Kernel dimension of a map out of a space of dimension src_dim."""
-    return src_dim - la.rank(mat, p)
 
 
 def tensor_over_h0(Q: hk.FDModule, L: hk.FDModule):
     """Q (x)_{H0} L for Q a right module and L a right module over the
     opposite algebra (a left module); returns (dim, proj, sect) for the
     quotient of the ambient Q (x) L by the middle-action relations."""
-    A = Q.algebra
-    p = A.p
-    big = Q.dim * L.dim
-    if big == 0:
-        return 0, la.zeros(0, 0), la.zeros(0, 0)
-    rels = []
-    for a in range(A.dim):
-        qa = Q.action[a]  # q . e_a
-        al = L.action[a]  # e_a . l  (left action via the opposite module)
-        for qi in range(Q.dim):
-            for li in range(L.dim):
-                rel = np.zeros(big, dtype=np.int64)
-                rel[np.arange(Q.dim) * L.dim + li] = qa[:, qi]
-                rel[qi * L.dim + np.arange(L.dim)] = (rel[qi * L.dim + np.arange(L.dim)] - al[:, li]) % p
-                rels.append(rel)
-    sub = la.span(rels if rels else la.zeros(0, big), big, p)
-    proj, sect = la.quotient_basis(sub)
+    # action[a] acts on columns; as a tensor, action[a][u, x] is the
+    # coefficient of u in x.a
+    rows, right = la.relations(np.transpose(Q.action, (2, 0, 1)), np.transpose(L.action, (2, 0, 1)), Q.algebra.p)
+    rows += right
+    del right
+    proj, sect = la.quotient_basis(la.span(rows[rows.any(axis=1)], Q.dim * L.dim, Q.algebra.p))
     return proj.shape[0], proj, sect
 
 
@@ -279,64 +263,13 @@ def tor_table_via_spft(M: dg.DGModule, L: hk.FDModule, resolution: SppjResolutio
                        window: tuple[int, int] = (-8, 0), stage_cap: int = 64) -> TorTable:
     """H^n(M (x)^L T) for a left heart module T, via the sup-flat slot
     formula with slots n = -i + sup P_i."""
-    a, b = window
     res = resolution or SppjResolution(M)
-    if res.cohs[0].is_acyclic():
-        return TorTable(window, {}, "spft")
-    p = M.p
-    # stages until the slot drops below the window
-    i = 0
-    while True:
-        s = res.sup_term(i)
-        if s is None:
-            last = i - 1
-            break
-        if -i + s < a - 1:
-            last = i
-            break
-        if i > stage_cap:
-            raise InsufficientStagesError("extend resolution: stage cap reached before covering the window")
-        i += 1
-    sups, tens, cohs, qs = {}, {}, {}, {}
-    for i in range(last + 1):
-        s = res.sup_term(i)
-        if s is None:
-            break
-        sups[i] = s
-        cohs[i] = res.term_cohs[i]
-        qs[i] = dg.heart_module(res.terms[i], s, cohs[i])
-        tens[i] = tensor_over_h0(qs[i], L)
-    trans = {}
-    for i in sorted(sups):
-        if i - 1 in sups and sups[i - 1] == sups[i]:
-            alpha = dg.cohomology_map(res.delta(i), sups[i], cohs[i], cohs[i - 1])
-            # induced map Q_i (x) L -> Q_{i-1} (x) L
-            di, proj_i, sect_i = tens[i]
-            dj, proj_j, sect_j = tens[i - 1]
-            big = np.kron(alpha, la.eye(L.dim))
-            trans[i] = la.matmul(proj_j, la.matmul(big, sect_i, p), p) if di and dj else la.zeros(dj, di)
-    dims = {}
-    for i, s in sups.items():
-        slot = -i + s
-        if slot < a or slot > b:
-            continue
-        prev_eq = (i - 1) in sups and sups[i - 1] == s
-        nxt = res.sup_term(i + 1)
-        next_eq = nxt is not None and nxt == s
-        d_i = tens[i][0]
-        if next_eq and (i + 1) not in tens:
-            raise InsufficientStagesError("extend resolution: neighbour stage missing")
-        if not prev_eq and not next_eq:
-            val = d_i
-        elif not prev_eq and next_eq:
-            # cokernel of Q_{i+1} (x) L -> Q_i (x) L
-            val = d_i - la.rank(trans[i + 1], p)
-        elif prev_eq and not next_eq:
-            val = _ker_dim(trans[i], d_i, p)
-        else:
-            val = _ker_dim(trans[i], d_i, p) - la.rank(trans[i + 1], p)
-        if val:
-            dims[slot] = val
+
+    def induced(alpha, G, H):
+        # Q_i (x) L -> Q_{i-1} (x) L through the ambient tensor products
+        return la.matmul(H[1], la.matmul(np.kron(alpha, la.eye(L.dim)), G[2], M.p), M.p)
+
+    dims = _slot_dims(res, lambda i, s: s - i, lambda Q: tensor_over_h0(Q, L), induced, window, stage_cap)
     return TorTable(window, dims, "spft")
 
 
@@ -344,60 +277,9 @@ def hom_table_via_ifij(N: hk.FDModule, M: dg.DGModule, resolution: IfijResolutio
                        window: tuple[int, int] = (0, 8), stage_cap: int = 64) -> HomTable:
     """Hom(N, M[n]) for a heart module N, read off an inf-injective
     resolution through the dual slot formula, slots n = i + inf I_{-i}."""
-    a, b = window
     res = resolution or IfijResolution(M)
-    if res.cohs[0].is_acyclic():
-        return HomTable(window, {}, "ifij")
-    p = M.p
-    i = 0
-    while True:
-        t = res.inf_term(i)
-        if t is None:
-            last = i - 1
-            break
-        if i + t > b + 1:
-            last = i
-            break
-        if i > stage_cap:
-            raise InsufficientStagesError("extend resolution: stage cap reached before covering the window")
-        i += 1
-    infs, homs, cohs, js = {}, {}, {}, {}
-    for i in range(last + 1):
-        t = res.inf_term(i)
-        if t is None:
-            break
-        infs[i] = t
-        cohs[i] = res.term_cohs[i]
-        js[i] = dg.heart_module(res.terms[i], t, cohs[i])
-        homs[i] = hk.hom_space(N, js[i])
-    trans = {}
-    for i in sorted(infs):
-        if i - 1 in infs and infs[i - 1] == infs[i]:
-            beta = dg.cohomology_map(res.delta(i), infs[i], cohs[i - 1], cohs[i])
-            cols = []
-            for k in range(homs[i - 1].dim):
-                cols.append(homs[i].coords(la.matmul(beta, homs[i - 1].matrix(k), p)))
-            trans[i] = np.stack(cols, axis=1) if cols else la.zeros(homs[i].dim, 0)
-    dims = {}
-    for i, t in infs.items():
-        slot = i + t
-        if slot < a or slot > b:
-            continue
-        prev_eq = (i - 1) in infs and infs[i - 1] == t
-        nxt = res.inf_term(i + 1)
-        next_eq = nxt is not None and nxt == t
-        if next_eq and (i + 1) not in homs:
-            raise InsufficientStagesError("extend resolution: neighbour stage missing")
-        if not prev_eq and not next_eq:
-            val = homs[i].dim
-        elif not prev_eq and next_eq:
-            val = _ker_dim(trans[i + 1], homs[i].dim, p)
-        elif prev_eq and not next_eq:
-            val = homs[i].dim - la.rank(trans[i], p)
-        else:
-            val = _ker_dim(trans[i + 1], homs[i].dim, p) - la.rank(trans[i], p)
-        if val:
-            dims[slot] = val
+    dims = _slot_dims(res, lambda i, t: i + t, lambda J: ((h := hk.hom_space(N, J)).dim, h), _pushed_forward,
+                      window, stage_cap)
     return HomTable(window, dims, "ifij")
 
 

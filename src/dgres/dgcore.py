@@ -97,10 +97,6 @@ class DGAlgebra:
         """Matrix of R^j -> R^{i+j}, x -> u x, for u in R^i."""
         return np.einsum("a,abc->cb", la.as_field(u, self.p), self.mult_tensor(i, j)) % self.p
 
-    def right_mult_matrix(self, v, j: int, i: int) -> np.ndarray:
-        """Matrix of R^i -> R^{i+j}, x -> x v, for v in R^j."""
-        return np.einsum("b,abc->ca", la.as_field(v, self.p), self.mult_tensor(i, j)) % self.p
-
     def regular_module(self) -> "DGModule":
         if "regular" not in self._memo:
             self._memo["regular"] = DGModule(
@@ -169,10 +165,6 @@ class DGModule:
 
     def action(self, m, i: int, r, j: int) -> np.ndarray:
         return np.einsum("a,b,abc->c", la.as_field(m, self.p), la.as_field(r, self.p), self.act_tensor(i, j)) % self.p
-
-    def right_mult_matrix(self, r, j: int, i: int) -> np.ndarray:
-        """Matrix of M^i -> M^{i+j}, m -> m r, for r in R^j."""
-        return np.einsum("b,abc->ca", la.as_field(r, self.p), self.act_tensor(i, j)) % self.p
 
 
 @dataclass
@@ -799,56 +791,26 @@ def hom_complex(M: DGModule, N: DGModule, window: tuple[int, int] | None = None)
 def _hom_component(M: DGModule, N: DGModule, n: int):
     """Canonical basis of degree-n R-linear maps with its block layout."""
     p = M.p
-    R = M.algebra
-    layout = []  # (i, rows, cols) for blocks phi_i with both sides nonzero
-    for i in M.degrees():
-        if N.dim(i + n):
-            layout.append((i, N.dim(i + n), M.dim(i)))
+    layout = [(i, N.dim(i + n), M.dim(i)) for i in M.degrees() if N.dim(i + n)]  # blocks phi_i, both sides nonzero
     total = sum(r * c for _, r, c in layout)
     if total == 0:
-        return la.MapSpace.from_rows(p, 1, 1, la.zeros(0, 1)), layout
-    offs = {}
-    off = 0
+        return la.MapSpace(p, 1, 1, la.zeros(0, 1), []), layout
+    offs, off = {}, 0
     for i, r, c in layout:
-        offs[i] = off
-        off += r * c
-    rows = []
+        offs[i], off = off, off + r * c
+    blocks = []
     for i in M.degrees():
-        for j in R.degrees():
-            k = i + j
-            tgt_rows = N.dim(k + n)
-            if M.dim(i) == 0 or R.dim(j) == 0:
-                continue
-            if tgt_rows == 0 and N.dim(i + n) == 0:
-                continue
-            for a in range(M.dim(i)):
-                for b in range(R.dim(j)):
-                    # phi_{i+j}(m_a . r_b) - phi_i(m_a) . r_b = 0
-                    row_block = np.zeros((tgt_rows, total), dtype=np.int64) if tgt_rows else None
-                    if tgt_rows == 0:
-                        continue
-                    v = M.act_tensor(i, j)[a, b]  # vector in M^{i+j}
-                    if k in offs:
-                        r_, c_ = N.dim(k + n), M.dim(k)
-                        blk = np.kron(la.eye(r_), v.reshape(1, -1))
-                        row_block[:, offs[k] : offs[k] + r_ * c_] = blk
-                    if i in offs and N.dim(i + n):
-                        Rb = N.right_mult_matrix(la.eye(R.dim(j))[b], j, i + n)  # N^{i+n} -> N^{k+n}
-                        sel = np.zeros((M.dim(i), 1), dtype=np.int64)
-                        sel[a, 0] = 1
-                        blk = np.kron(Rb, sel.T)
-                        row_block[:, offs[i] : offs[i] + N.dim(i + n) * M.dim(i)] = (
-                            row_block[:, offs[i] : offs[i] + N.dim(i + n) * M.dim(i)] - blk
-                        ) % p
-                    rows.append(row_block % p)
-    if rows:
-        big = np.concatenate(rows, axis=0)
-        ker = la.kernel(big, p)
-        basis = ker.basis
-    else:
-        basis = la.eye(total)
-    sp = la.MapSpace.from_rows(p, 1, total, basis)
-    return sp, layout
+        for j in M.algebra.degrees():
+            # phi_i(m) . r - phi_{i+j}(m . r) = 0 for m in M^i, r in R^j
+            left, right = la.relations(np.swapaxes(N.act_tensor(i + n, j), 0, 2), M.act_tensor(i, j), p)
+            rows = la.zeros(left.shape[0], total)
+            if i in offs:
+                rows[:, offs[i] : offs[i] + left.shape[1]] = left
+            if i + j in offs:
+                rows[:, offs[i + j] : offs[i + j] + right.shape[1]] += right
+            blocks.append(rows[rows.any(axis=1)])
+    ker = la.kernel(np.concatenate(blocks), p)
+    return la.MapSpace(p, 1, total, ker.basis, ker.pivots), layout
 
 
 def _unflatten(vec, layout, M, N, n):
@@ -896,32 +858,19 @@ def tensor_complex(M: DGModule, L: DGModule, window: tuple[int, int] | None = No
         for i, a, b in layout:
             offs[i] = off
             off += a * b
-        rels = []
+        blocks = []
         for i in M.degrees():
             for j in Rop.degrees():
                 # (m r) ⊗ l - (-1)^{|r||l|} m ⊗ (l *op r),  r in R^j, l in L^t
                 t = n - i - j
-                if L.dim(t) == 0 or R.dim(j) == 0 or M.dim(i) == 0:
-                    continue
-                for mi in range(M.dim(i)):
-                    for rj in range(R.dim(j)):
-                        mr = M.act_tensor(i, j)[mi, rj]  # in M^{i+j}
-                        for lt in range(L.dim(t)):
-                            rel = np.zeros(total, dtype=np.int64)
-                            if (i + j) in offs and L.dim(n - i - j):
-                                o = offs[i + j]
-                                bdim = L.dim(n - i - j)
-                                rel[o + np.arange(M.dim(i + j)) * bdim + lt] = mr
-                            lr = L.act_tensor(t, j)[lt, rj]  # l *op r in L^{t+j}
-                            sign = -1 if (j * t) % 2 else 1
-                            if i in offs and L.dim(n - i):
-                                o = offs[i]
-                                bdim = L.dim(n - i)
-                                rel[o + mi * bdim + np.arange(L.dim(t + j))] = (
-                                    rel[o + mi * bdim + np.arange(L.dim(t + j))] - sign * lr
-                                ) % p
-                            rels.append(rel % p)
-        sub = la.span(rels if rels else la.zeros(0, total), total, p)
+                left, right = la.relations(M.act_tensor(i, j), L.act_tensor(t, j), p, -1 if (j * t) % 2 else 1)
+                rows = la.zeros(left.shape[0], total)
+                if i + j in offs:
+                    rows[:, offs[i + j] : offs[i + j] + left.shape[1]] = left
+                if i in offs:
+                    rows[:, offs[i] : offs[i] + right.shape[1]] += right
+                blocks.append(rows[rows.any(axis=1)])
+        sub = la.span(np.concatenate(blocks), total, p)
         projs[n], sects[n] = la.quotient_basis(sub)
     dims = {n: projs[n].shape[0] for n in projs if projs[n].shape[0]}
     diff = {}
@@ -976,23 +925,14 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
     spaces: dict[int, la.MapSpace] = {}
     for i in range(0, -min(R.degrees()) + 1):
         src = -i
-        if R.dim(src) == 0:
+        if R.dim(src) == 0 or K.dim == 0:
             continue
-        rows, cols = K.dim, R.dim(src)
-        if rows == 0:
-            continue
-        constraints = []
-        for b in range(hd.r0.dim):
-            # phi(s . e_b) = phi(s) . e_b
-            Rb = R.right_mult_matrix(la.eye(hd.r0.dim)[b], 0, src)  # R^src -> R^src
-            Kb = K.action[b]
-            constraints.append((np.kron(la.eye(rows), Rb.T) - np.kron(Kb, la.eye(cols))) % p)
-        if constraints:
-            ker = la.kernel(np.concatenate(constraints, axis=0), p)
-            basis = ker.basis
-        else:
-            basis = la.eye(rows * cols)
-        spaces[i] = la.MapSpace.from_rows(p, rows, cols, basis)
+        # phi(s . e) = phi(s) . e for e in R0
+        rows, right = la.relations(np.swapaxes(K.action, 0, 1), R.mult_tensor(src, 0), p)
+        rows += right
+        del right
+        ker = la.kernel(rows[rows.any(axis=1)], p)
+        spaces[i] = la.MapSpace(p, K.dim, R.dim(src), ker.basis, ker.pivots)
     dims = {i: sp.dim for i, sp in spaces.items() if sp.dim}
     diff = {}
     for i in sorted(spaces):

@@ -230,11 +230,6 @@ class MapSpace:
     basis: np.ndarray  # (dim, rows*cols)
     pivots: list[int]
 
-    @classmethod
-    def from_rows(cls, p: int, rows: int, cols: int, vectors) -> "MapSpace":
-        sp = span(vectors if len(vectors) else zeros(0, rows * cols), rows * cols, p)
-        return cls(p, rows, cols, sp.basis, sp.pivots)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -249,6 +244,43 @@ class MapSpace:
         if np.any((v - c @ self.basis) % self.p):
             raise ValueError("MapSpace.coords: map is outside the space")
         return c
+
+
+def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Balance relations (x.a) (x) y - sign * x (x) (y.a), as two blocks.
+
+    src (m, A, m2) and tgt (n, A, n2) are action tensors over one basis of
+    A: src[x, a, u] is the coefficient of u in x.a, and likewise for tgt.
+    Row (x, a, y), row-major, is one relation.  The first block holds the
+    coefficients of (x.a) (x) y on k^m2 (x) k^n, the second those of
+    -sign * x (x) (y.a) on k^m (x) k^n2; columns are row-major too.  When
+    the two spaces coincide the relations are the sum of the blocks, which a
+    caller forms in place.  Many rows are often zero; drop them before
+    eliminating.
+
+    One matrix serves tensor quotients and Hom spaces, because
+    Hom_A(Q, D L) = D(Q (x)_A L) = D(L (x)_{A^op} Q) for the k-dual D:
+
+      tensor  Q (x)_A L is k^m (x) k^n modulo the row span of
+              relations(Q, L, p, sign).
+      Hom     phi : Q -> N is A-linear iff its row-major vectorisation,
+              rows indexing N and columns Q, is in the kernel of
+              relations(D N, Q, p) with the dual action
+              D N = np.swapaxes(N, 0, 2).  Row (y, a, x) then reads
+              (phi(x).a - phi(x.a))[y]: the first block acts on phi at the
+              degree of x, the second on phi at the degree of x.a.
+
+    With a zero target action (n2 = 0) the second block alone holds
+    phi |-> -phi(x.a), which prescribes phi on the elements x.a.
+    """
+    src, tgt = np.asarray(src, dtype=np.int64), np.asarray(tgt, dtype=np.int64)
+    (m, A, m2), (n, _, n2) = src.shape, tgt.shape
+    # C order, so that the reshapes are views whatever the layout of the inputs
+    left = np.einsum("xau,yv->xayuv", src, eye(n), order="C").reshape(m * A * n, m2 * n)
+    right = np.einsum("xu,yaw->xayuw", eye(m), tgt, order="C").reshape(m * A * n, m * n2)
+    if sign == 1:
+        np.negative(right, out=right)
+    return left, right
 
 
 def solve_many(m, rhs, p: int):

@@ -360,17 +360,14 @@ def top_of(M: FDModule) -> tuple[FDModule, np.ndarray]:
 
 def hom_space(M: FDModule, N: FDModule) -> la.MapSpace:
     """Basis of algebra-equivariant maps M -> N as a canonical map space."""
-    A, p = M.algebra, M.algebra.p
-    r, c = N.dim, M.dim
-    if r == 0 or c == 0:
-        return la.MapSpace.from_rows(p, r, c, la.zeros(0, r * c))
-    blocks = []
-    for a in range(A.dim):
-        # phi @ rhoM_a - rhoN_a @ phi = 0, row-major vectorization
-        blocks.append(np.kron(la.eye(r), M.action[a].T) - np.kron(N.action[a], la.eye(c)))
-    big = np.concatenate(blocks, axis=0) % p
-    ker = la.kernel(big, p)
-    return la.MapSpace.from_rows(p, r, c, ker.basis)
+    p = M.algebra.p
+    # action[a] acts on columns; as a tensor, action[a][u, x] is the
+    # coefficient of u in x.a, and the dual of N transposes each action[a]
+    rows, right = la.relations(np.swapaxes(N.action, 0, 1), np.transpose(M.action, (2, 0, 1)), p)
+    rows += right
+    del right
+    ker = la.kernel(rows[rows.any(axis=1)], p)
+    return la.MapSpace(p, N.dim, M.dim, ker.basis, ker.pivots)
 
 
 def dual_module(M: FDModule, label="") -> FDModule:

@@ -152,11 +152,11 @@ def _action_map(M, cohM, s, i):
         return la.zeros(tgt, 0), 0
     qa = cohM.action.get((s, 0), np.zeros((q, hd.h0.dim, q), dtype=np.int64))
     av = cohR.action.get((0, -i), np.zeros((hd.h0.dim, v, v), dtype=np.int64))
-    # relation rows (q . a) (x) v - q (x) (a . v), indexed by (q, a, v); most
-    # vanish, and dropping them first keeps the copies made by span small
-    rows = np.einsum("iaj,uw->iaujw", qa, la.eye(v))
-    rows -= np.einsum("ij,auw->iaujw", la.eye(q), av)
-    rows = rows.reshape(-1, q * v)
+    # relations (q . a) (x) v - q (x) (a . v); most vanish, and dropping them
+    # (and the second block) first keeps the copies made by span small
+    rows, right = la.relations(qa, np.swapaxes(av, 0, 1), p)
+    rows += right
+    del right
     sub = la.span(rows[rows.any(axis=1)], q * v, p)
     proj, sect = la.quotient_basis(sub)
     t = cohM.action.get((s, -i), np.zeros((q, v, tgt), dtype=np.int64))
@@ -270,16 +270,17 @@ def _strict_map_to_psi(M, I, t, cohM, values):
     p = M.p
     K, spaces = I._psi_K, I._psi_spaces
     n, k = M.dim(t), K.dim
-    # unknowns: phi as a (k, n) matrix, row-major
-    rows = [
-        np.kron(la.eye(k), M.right_mult_matrix(e, 0, t).T) - np.kron(K.action[b], la.eye(n))
-        for b, e in enumerate(la.eye(M.algebra.dim(0)))
-    ]
-    rows.append(np.kron(la.eye(k), M.diff_mat(t - 1).T))
-    rows.append(np.kron(la.eye(k), cohM.reps[t].T))
-    rhs = np.zeros(sum(r.shape[0] for r in rows), dtype=np.int64)
-    rhs[rhs.size - values.size :] = la.as_field(values, p).reshape(-1)
-    sol = la.solve(np.concatenate(rows), rhs, p)
+    # unknowns: phi as a (k, n) matrix, row-major.  phi(m . e) = phi(m) . e
+    # for e in R0; against a zero target action the rows -phi(c) prescribe
+    # phi(c) on the columns c of d_{t-1} (zero) and of the reps (values).
+    rows, right = la.relations(np.swapaxes(K.action, 0, 1), M.act_tensor(t, 0), p)
+    rows += right
+    del right
+    fixed = np.concatenate([M.diff_mat(t - 1), cohM.reps[t]], axis=1)
+    rows = np.concatenate([la.relations(np.zeros((k, 1, 0)), fixed.T[:, None, :], p)[1], rows[rows.any(axis=1)]])
+    rhs = np.zeros(rows.shape[0], dtype=np.int64)
+    rhs[: k * fixed.shape[1]] = -np.concatenate([la.zeros(k, M.dim(t - 1)), values], axis=1).reshape(-1)
+    sol = la.solve(rows, rhs, p)
     if sol is None:
         raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
     phi = sol.reshape(k, n)

@@ -199,8 +199,6 @@ def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
         raise ParseError(block.line_no, "algebra block declares no basis")
     where = _index_names(block.degrees, block.line_no)
     dims = {d: len(ns) for d, ns in block.degrees.items()}
-    if sum(dims.values()) >= p:
-        raise ParseError(block.line_no, f"p must exceed the total dimension {sum(dims.values())}")
     if block.unit_expr is None:
         raise ParseError(block.line_no, "algebra block has no unit")
     unit_combo = _parse_combo(block.unit_expr, where, block.unit_line, p)

@@ -220,3 +220,20 @@ def test_tor_hom_duality(koszul):
     hom = dv.rhom(M, dg.heart_embed(R, DT), (-2, 6))
     for n in range(-2, 7):
         assert hom.dim(n) == tor.dim(-n), n
+
+
+def test_slot_routes_cover_long_windows_and_stop_at_the_stage_cap(nilp2):
+    # over the dual numbers heart(S0) has one stage per slot in every route,
+    # so a window of seven slots needs at least seven stages
+    hd = hk.heart_of(nilp2)
+    S = hk.simples(hd.h0)[0]
+    T = hk.simples(hk.heart_of(nilp2.opposite()).h0)[0]
+    TL = hk.FDModule(hd.h0.opposite(), T.dim, T.action, label=T.label)
+    M = battery.heart_simple(nilp2, 0)
+    assert dv.hom_table_via_sppj(M, S, window=(0, 6)).dims == {n: 1 for n in range(0, 7)}
+    assert dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=8).dims == {n: 1 for n in range(0, 7)}
+    assert dv.tor_table_via_spft(M, TL, window=(-6, 0), stage_cap=8).dims == {n: 1 for n in range(-6, 1)}
+    with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
+        dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=2)
+    with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
+        dv.tor_table_via_spft(M, TL, window=(-6, 0), stage_cap=2)

@@ -221,6 +221,20 @@ def test_parse_rejects_broken_product(k2):
         textio.parse(text.replace("\nmul y x = x*y\n", "\nmul y x = 0\n"))
 
 
+def test_emit_parse_round_trip_with_p_below_total_dimension():
+    # p is checked once, when the algebra is built: 13 > dim K2^0 = 4 although
+    # K2 has total dimension 16
+    R = battery.builtin_algebra("koszul(x,y; k[x,y]/(x^2,y^2))", 13)
+    text = textio.emit(textio.InputDocument(13, R))
+    doc = textio.parse(text)
+    assert doc.algebra.dims == R.dims and textio.emit(doc) == text
+    S = doc.algebra
+    assert all(np.array_equal(S.mult_tensor(i, j), R.mult_tensor(i, j)) for i in R.degrees() for j in R.degrees())
+    assert all(np.array_equal(S.diff_mat(i), R.diff_mat(i)) for i in R.degrees())
+    with pytest.raises(hk.ConfigurationError, match=r"dim R\^0 = 4, got p=3"):
+        textio.parse(text.replace("p 13\n", "p 3\n"))
+
+
 def test_p_bounds_checked_at_construction():
     # the trace-form radical of R^0 needs p > dim R^0 = 3
     with pytest.raises(hk.ConfigurationError, match=r"dim R\^0 = 3, got p=3"):
