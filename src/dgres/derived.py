@@ -226,15 +226,13 @@ def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int
 def _pulled_back(alpha, G, H):
     """Hom(Q_H, N) -> Hom(Q_G, N), phi -> phi alpha, for alpha : Q_G -> Q_H."""
     (_, g), (_, h) = G, H
-    cols = [g.coords(la.matmul(h.matrix(k), alpha, g.p)) for k in range(h.dim)]
-    return np.stack(cols, axis=1) if cols else la.zeros(g.dim, 0)
+    return g.coords(la.matmul(h.matrices(), alpha, g.p)).T
 
 
 def _pushed_forward(beta, G, H):
     """Hom(N, J_G) -> Hom(N, J_H), phi -> beta phi, for beta : J_G -> J_H."""
     (_, g), (_, h) = G, H
-    cols = [h.coords(la.matmul(beta, g.matrix(k), h.p)) for k in range(g.dim)]
-    return np.stack(cols, axis=1) if cols else la.zeros(h.dim, 0)
+    return h.coords(la.matmul(beta, g.matrices(), h.p)).T
 
 
 def hom_table_via_sppj(M: dg.DGModule, N: hk.FDModule, resolution: SppjResolution | None = None,

@@ -128,6 +128,14 @@ class DGModule:
     diff: dict[int, np.ndarray]
     act: dict[tuple[int, int], np.ndarray]
     label: str = ""
+    # a free module's generator degrees, block offsets (degree, generator)
+    # -> first basis index, and twists; set by free_module
+    _gen_degrees: list[int] | None = field(default=None, repr=False, compare=False)
+    _offsets: dict | None = field(default=None, repr=False, compare=False)
+    _twists: dict | None = field(default=None, repr=False, compare=False)
+    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K
+    _psi_spaces: dict | None = field(default=None, repr=False, compare=False)
+    _psi_K: hk.FDModule | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -368,12 +376,6 @@ class CohomologyData:
     def inf(self):
         degs = [d for d, n in self.dims.items() if n]
         return min(degs) if degs else POS_INF
-
-    @property
-    def champ(self):
-        if self.sup is NEG_INF:
-            return None
-        return self.sup - self.inf
 
     def is_acyclic(self) -> bool:
         return not any(self.dims.values())
@@ -696,10 +698,41 @@ def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None
                     continue
                 t[offs[(i, g)] : offs[(i, g)] + nb, :, offs[(k, g)] : offs[(k, g)] + nk] = R.mult_tensor(i - s, j)
             act[(i, j)] = t
-    F = DGModule(R, dims, diff, act, label=label or f"free{gen_degrees}")
-    F._gen_degrees = gen_degrees
-    F._offsets = offs
-    return F
+    return DGModule(R, dims, diff, act, label=label or f"free{gen_degrees}",
+                    _gen_degrees=gen_degrees, _offsets=offs, _twists=twists)
+
+
+def free_cohomology(P: DGModule) -> CohomologyData:
+    """H(P) for an untwisted free P = R^n[-s], copied from H(R).
+
+    Each degree of P is n blocks R^{i-s}, one per generator, and d_P is
+    block-diagonal with blocks (-1)^s d_R.  The sign changes neither cycles
+    nor boundaries, and the canonical basis of a block sum is the block sum
+    of canonical bases, so every field of cohomology(P) is n block-diagonal
+    copies of the same field of algebra_cohomology(R) in degree i - s:
+    cycle bases and their pivots, class_proj and reps by np.kron with the
+    identity, and the H(R) action class by class within each block.
+    """
+    if P._gen_degrees is None or P._twists:
+        raise ValueError(f"free_cohomology: {P.label} is not an untwisted free module")
+    n, degs = len(P._gen_degrees), set(P._gen_degrees)
+    if len(degs) > 1:
+        raise ValueError(f"free_cohomology: {P.label} has generators in degrees {sorted(degs)}")
+    data = CohomologyData(P.p, {}, {}, {}, {})
+    if n == 0:
+        return data
+    s, H, one = degs.pop(), algebra_cohomology(P.algebra), la.eye(n)
+    for j, Z in H.cycle_basis.items():
+        pivots = [g * Z.ambient_dim + c for g in range(n) for c in Z.pivots]
+        data.cycle_basis[j + s] = la.Subspace(P.p, n * Z.ambient_dim, np.kron(one, Z.basis), pivots)
+    for j, h in H.dims.items():
+        data.dims[j + s] = n * h
+        data.reps[j + s] = np.kron(one, H.reps[j])
+        data.class_proj[j + s] = np.kron(one, H.class_proj[j])
+    for (i, j), t in H.action.items():
+        a, b, c = t.shape
+        data.action[(i + s, j)] = np.einsum("gh,abc->gabhc", one, t).reshape(n * a, b, n * c)
+    return data
 
 
 def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
@@ -773,16 +806,14 @@ def hom_complex(M: DGModule, N: DGModule, window: tuple[int, int] | None = None)
         if src.dim == 0 or tgt.dim == 0:
             continue
         sign = -1 if n % 2 else 1
-        cols = []
-        for k in range(src.dim):
-            phi = _unflatten(src.basis[k], layouts[n], M, N, n)
-            dphi = {}
-            for i, _, _ in layouts[n + 1]:
-                a = la.matmul(N.diff_mat(i + n), phi.get(i, la.zeros(N.dim(i + n), M.dim(i))), p)
-                b = la.matmul(phi.get(i + 1, la.zeros(N.dim(i + 1 + n), M.dim(i + 1))), M.diff_mat(i), p)
-                dphi[i] = (a - sign * b) % p
-            cols.append(tgt.coords(_flatten(dphi, layouts[n + 1])))
-        diff[n] = np.stack(cols, axis=1)
+        phi = _unflatten(src.basis, layouts[n])  # all basis maps at once
+        dphi = []
+        for i, r, c in layouts[n + 1]:
+            d = la.matmul(N.diff_mat(i + n), phi[i], p) if i in phi else np.zeros((src.dim, r, c), dtype=np.int64)
+            if i + 1 in phi:
+                d = (d - sign * la.matmul(phi[i + 1], M.diff_mat(i), p)) % p
+            dphi.append(d.reshape(src.dim, r * c))
+        diff[n] = tgt.coords(np.concatenate(dphi, axis=1)[:, None, :]).T
     hc = KComplex(p, dims, diff, label=f"Hom({M.label},{N.label})")
     hc.basis = {"spaces": spaces, "layouts": layouts, "source": M, "target": N}
     return hc
@@ -813,20 +844,13 @@ def _hom_component(M: DGModule, N: DGModule, n: int):
     return la.MapSpace(p, 1, total, ker.basis, ker.pivots), layout
 
 
-def _unflatten(vec, layout, M, N, n):
-    out = {}
-    off = 0
+def _unflatten(vecs, layout):
+    """Blocks i -> phi_i of flat maps vecs (..., total), as stacks (..., r, c)."""
+    out, off = {}, 0
     for i, r, c in layout:
-        out[i] = vec[off : off + r * c].reshape(r, c)
+        out[i] = vecs[..., off : off + r * c].reshape(vecs.shape[:-1] + (r, c))
         off += r * c
     return out
-
-
-def _flatten(blocks: dict, layout):
-    parts = []
-    for i, r, c in layout:
-        parts.append(np.asarray(blocks.get(i, np.zeros((r, c), dtype=np.int64))).reshape(-1))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def tensor_complex(M: DGModule, L: DGModule, window: tuple[int, int] | None = None) -> KComplex:
@@ -934,38 +958,22 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
         ker = la.kernel(rows[rows.any(axis=1)], p)
         spaces[i] = la.MapSpace(p, K.dim, R.dim(src), ker.basis, ker.pivots)
     dims = {i: sp.dim for i, sp in spaces.items() if sp.dim}
+    phis = {i: sp.matrices() for i, sp in spaces.items() if sp.dim}
     diff = {}
-    for i in sorted(spaces):
-        if spaces.get(i) is None or spaces.get(i + 1) is None:
-            continue
-        if dims.get(i, 0) == 0 or dims.get(i + 1, 0) == 0:
-            continue
-        sign = -1 if i % 2 else 1  # d(phi) = -(-1)^i phi d_R
-        cols = []
-        for k in range(spaces[i].dim):
-            phi = spaces[i].matrix(k)
-            dphi = (-sign * la.matmul(phi, R.diff_mat(-i - 1), p)) % p
-            cols.append(spaces[i + 1].coords(dphi))
-        diff[i] = np.stack(cols, axis=1)
+    for i in phis:
+        if i + 1 in phis:
+            sign = -1 if i % 2 else 1  # d(phi) = -(-1)^i phi d_R
+            dphis = (-sign * la.matmul(phis[i], R.diff_mat(-i - 1), p)) % p
+            diff[i] = spaces[i + 1].coords(dphis).T
     act = {}
-    for i in sorted(spaces):
-        if dims.get(i, 0) == 0:
-            continue
+    for i in phis:
         for j in R.degrees():
             k = i + j
-            if dims.get(k, 0) == 0:
-                continue
-            t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
-            for a in range(dims[i]):
-                phi = spaces[i].matrix(a)
-                for b in range(R.dim(j)):
-                    Lb = R.left_mult_matrix(la.eye(R.dim(j))[b], j, -k)  # R^{-k} -> R^{-i}
-                    t[a, b] = spaces[k].coords(la.matmul(phi, Lb, p))
-            act[(i, j)] = t
-    M = DGModule(R, dims, diff, act, label=f"psi({K.label})")
-    M._psi_spaces = spaces
-    M._psi_K = K
-    return M
+            if k in phis:
+                # (phi . r)(s) = phi(r s) on R^{-k}, for phi and r in the bases
+                maps = np.einsum("akc,bxc->abkx", phis[i], R.mult_tensor(j, -k))
+                act[(i, j)] = spaces[k].coords(maps)
+    return DGModule(R, dims, diff, act, label=f"psi({K.label})", _psi_spaces=spaces, _psi_K=K)
 
 
 def heart_embed(R: DGAlgebra, N: hk.FDModule) -> DGModule:

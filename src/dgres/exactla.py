@@ -11,8 +11,15 @@ eliminating again.
 rref touches only what changes: at each pivot it normalises and eliminates
 the columns from the pivot column onward, and updates only the rows with a
 nonzero entry in the pivot column.  Rows that are zero on input stay zero and
-are set aside first.  The reduced row echelon form is unique, so this gives
-the same matrix as a full sweep.
+are set aside first.  Input that is already in RREF (nonzero rows first,
+leading columns strictly increasing, each leading entry 1 and alone in its
+column) is returned as it is after one vectorised check.  The reduced row
+echelon form is unique, so all of this gives the same matrix as a full sweep.
+
+Each caller eliminates once.  kernel eliminates the columns in reverse
+order: its vectors at the free columns, with the columns put back, are then
+already the canonical basis, so they need no second elimination.
+solve_many eliminates [m | rhs] once for all columns of rhs.
 
 p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
 is built, together with p > dim R^0 (the trace-form radical of R^0 needs it)
@@ -73,18 +80,38 @@ def matmul(a, b, p: int) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
+def _rref_pivots(m, nz) -> list[int] | None:
+    """The pivot columns of m if m is already in RREF, else None; nz marks
+    the nonzero rows of m."""
+    r = np.count_nonzero(nz)
+    if not nz[:r].all():
+        return None  # a zero row above a nonzero one
+    if r == 0:
+        return []
+    lead = (m[:r] != 0).argmax(axis=1)
+    if (lead[1:] <= lead[:-1]).any() or (m[np.arange(r), lead] != 1).any():
+        return None
+    if (np.count_nonzero(m[:, lead], axis=0) != 1).any():
+        return None
+    return lead.tolist()
+
+
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     m = as_field(m, p)
+    nz = m.any(axis=1)
+    piv = _rref_pivots(m, nz)
+    if piv is not None:
+        return m, piv
     out = np.zeros_like(m)
-    a = m[m.any(axis=1)]  # zero rows stay zero; the rest is reduced in place
+    a = m[nz]  # zero rows stay zero; the rest is reduced in place
     rows = a.shape[0]
     r = 0
     pivots: list[int] = []
-    for c in np.flatnonzero(a.any(axis=0)).tolist():
+    for c in a.any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
-        below = np.flatnonzero(a[r:, c])
+        below = a[r:, c].nonzero()[0]
         if below.size == 0:
             continue
         pr = r + int(below[0])
@@ -93,10 +120,10 @@ def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
             a[r, c:] = (a[r, c:] * inv) % p
-        hit = np.flatnonzero(a[:, c])
+        hit = a[:, c].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     out[:rows] = a
@@ -156,15 +183,20 @@ def _non_pivots(n: int, piv: list[int]) -> np.ndarray:
 
 
 def kernel(m, p: int) -> Subspace:
-    """{v : m v = 0} with canonical basis."""
+    """{v : m v = 0} with canonical basis, from one elimination.
+
+    Eliminating the columns in reverse order makes the kernel vector of each
+    free column f vanish left of f once the columns are put back, so the
+    vectors, ordered by f, are the canonical basis with pivots f.
+    """
     m = as_field(m, p)
     cols = m.shape[1]
-    rr, piv = rref(m, p)
-    free = _non_pivots(cols, piv)
+    rr, piv = rref(m[:, ::-1], p)
+    free = _non_pivots(cols, piv)[::-1]
     basis = zeros(free.size, cols)
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-rr[: len(piv), free].T) % p
-    return span(basis, cols, p)
+    return Subspace(p, cols, basis[:, ::-1].copy(), (cols - 1 - free).tolist())
 
 
 def image(m, p: int) -> Subspace:
@@ -174,18 +206,8 @@ def image(m, p: int) -> Subspace:
 
 def solve(m, b, p: int):
     """Some x with m x = b, or None when the system is inconsistent."""
-    m = as_field(m, p)
-    b = as_field(b, p).reshape(-1)
-    if b.shape[0] != m.shape[0]:
-        raise ValueError(f"solve: {m.shape[0]} rows vs rhs of length {b.shape[0]}")
-    aug = np.concatenate([m, b.reshape(-1, 1)], axis=1)
-    rr, piv = rref(aug, p)
-    if m.shape[1] in piv:
-        return None
-    x = np.zeros(m.shape[1], dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = rr[i, -1]
-    return x
+    x = solve_many(m, as_field(b, p).reshape(-1, 1), p)
+    return None if x is None else x[:, 0]
 
 
 def quotient_basis(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -237,13 +259,20 @@ class MapSpace:
     def matrix(self, k: int) -> np.ndarray:
         return self.basis[k].reshape(self.rows, self.cols)
 
-    def coords(self, mat) -> np.ndarray:
-        """Coordinates of a map known to lie in the space."""
-        v = as_field(mat, self.p).reshape(-1)
-        c = v[self.pivots]
+    def matrices(self) -> np.ndarray:
+        """The basis maps as one stack (dim, rows, cols)."""
+        return self.basis.reshape(self.dim, self.rows, self.cols)
+
+    def coords(self, mats) -> np.ndarray:
+        """Coordinates of a map known to lie in the space, or of each map in
+        a stack (..., rows, cols), as an array (..., dim)."""
+        v = as_field(mats, self.p)
+        lead = v.shape[:-2]
+        v = v.reshape(-1, self.rows * self.cols)
+        c = v[:, self.pivots]
         if np.any((v - c @ self.basis) % self.p):
             raise ValueError("MapSpace.coords: map is outside the space")
-        return c
+        return c.reshape(lead + (self.dim,))
 
 
 def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -284,13 +313,19 @@ def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_many(m, rhs, p: int):
-    """Solve m X = rhs columnwise; None if any column is inconsistent."""
-    m = as_field(m, p)
-    rhs = as_field(rhs, p)
-    cols = []
-    for j in range(rhs.shape[1]):
-        x = solve(m, rhs[:, j], p)
-        if x is None:
-            return None
-        cols.append(x)
-    return np.stack(cols, axis=1) if cols else zeros(m.shape[1], 0)
+    """Solve m X = rhs columnwise; None if any column is inconsistent.
+
+    One elimination of [m | rhs]: a pivot in the rhs part marks an
+    inconsistent column, and otherwise X is zero at the free unknowns and
+    reads the reduced rhs at the pivots.
+    """
+    m, rhs = as_field(m, p), as_field(rhs, p)
+    n = m.shape[1]
+    if rhs.shape[0] != m.shape[0]:
+        raise ValueError(f"solve: {m.shape[0]} rows vs a rhs with {rhs.shape[0]} rows")
+    rr, piv = rref(np.concatenate([m, rhs], axis=1), p)
+    if piv and piv[-1] >= n:
+        return None
+    x = zeros(n, rhs.shape[1])
+    x[piv] = rr[: len(piv), n:]
+    return x

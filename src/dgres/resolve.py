@@ -83,10 +83,6 @@ class DimensionReport:
     notes: list[str] = field(default_factory=list)
     children: dict = field(default_factory=dict)  # per-simple reports for gldim
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None or self.zero_object
-
     def value(self):
         if self.zero_object:
             return -math.inf
@@ -250,7 +246,7 @@ def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.Coh
     P = dg.free_module(R, [s] * g_count, label=f"R^{g_count}[{-s}]")
     images = [coh.rep(s, generators[:, t]) for t in range(g_count)]
     f = dg.free_map(P, M, images)
-    cohP = dg.cohomology(P)
+    cohP = dg.free_cohomology(P)
     hmap = dg.cohomology_map(f, s, cohP, coh)
     if la.rank(hmap, M.p) != Q.dim:
         raise ValueError("chosen generators do not surject onto the top cohomology")
@@ -291,7 +287,7 @@ def _strict_map_to_psi(M, I, t, cohM, values):
             continue
         # f_j(m) : R^{t-j} -> K,  s -> phi(m s)
         maps = np.einsum("kc,msc->mks", phi, M.act_tensor(j, t - j)) % p
-        blocks[j] = np.stack([sp.coords(mat) for mat in maps], axis=1)
+        blocks[j] = sp.coords(maps).T
     return dg.DGMorphism(M, I, blocks)
 
 

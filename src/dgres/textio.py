@@ -31,7 +31,6 @@ raises ParseError with the offending line number.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -55,9 +54,6 @@ class InputDocument:
     modules: dict[str, dg.DGModule] = field(default_factory=dict)
     algebra_ref: str | None = None  # builtin spec when referenced
     module_refs: dict[str, str] = field(default_factory=dict)
-
-    def digest(self) -> str:
-        return hashlib.sha256(emit(self).encode()).hexdigest()[:16]
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9^*]*"

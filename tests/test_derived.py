@@ -237,3 +237,32 @@ def test_slot_routes_cover_long_windows_and_stop_at_the_stage_cap(nilp2):
         dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=2)
     with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
         dv.tor_table_via_spft(M, TL, window=(-6, 0), stage_cap=2)
+
+
+def test_induced_hom_maps_match_loop_oracles(koszul, tri2, nilp2, k2, monkeypatch):
+    # _pulled_back and _pushed_forward take every basis map in one coords
+    # call; the loop form, one call per basis map, is the oracle
+    def pulled_back_oracle(alpha, G, H):
+        (_, g), (_, h) = G, H
+        cols = [g.coords(la.matmul(h.matrix(k), alpha, g.p)) for k in range(h.dim)]
+        return np.stack(cols, axis=1) if cols else la.zeros(g.dim, 0)
+
+    def pushed_forward_oracle(beta, G, H):
+        (_, g), (_, h) = G, H
+        cols = [h.coords(la.matmul(beta, g.matrix(k), h.p)) for k in range(g.dim)]
+        return np.stack(cols, axis=1) if cols else la.zeros(h.dim, 0)
+
+    calls = []
+    for name, oracle in (("_pulled_back", pulled_back_oracle), ("_pushed_forward", pushed_forward_oracle)):
+        def record(*args, name=name, f=getattr(dv, name), oracle=oracle):
+            calls.append((name, f(*args), oracle(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dv, name, record)
+    for R in (koszul, tri2, nilp2, k2):
+        for i, S in enumerate(hk.simples(hk.heart_of(R).h0)):
+            M = battery.heart_simple(R, i)
+            dv.hom_table_via_sppj(M, S, window=(0, 4))
+            dv.hom_table_via_ifij(S, M, window=(0, 4))
+    assert {name for name, _, _ in calls} == {"_pulled_back", "_pushed_forward"} and len(calls) > 10
+    assert all(got.shape == want.shape and np.array_equal(got, want) for _, got, want in calls)

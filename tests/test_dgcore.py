@@ -574,3 +574,169 @@ def test_non_prime_p_rejected_at_construction(p):
     for doc in (text.replace(f"p {P}", f"p {p}", 1), f"p {p}\nalgebra builtin koszul(x; k[x]/(x^2))\n"):
         with pytest.raises(hk.ConfigurationError, match=f"p={p}"):
             textio.parse(doc)
+
+
+# ---------------------------------------------------------------------------
+# the basis-loop forms of psi and of the Hom differential, kept as test-only
+# oracles for the stacked versions
+
+
+def psi_oracle(R, spaces):
+    """psi's dims, differential and action, one coords call per basis map."""
+    p = R.p
+    dims = {i: sp.dim for i, sp in spaces.items() if sp.dim}
+    diff, act = {}, {}
+    for i in sorted(dims):
+        if dims.get(i + 1, 0):
+            sign = -1 if i % 2 else 1
+            cols = [spaces[i + 1].coords((-sign * la.matmul(spaces[i].matrix(a), R.diff_mat(-i - 1), p)) % p)
+                    for a in range(dims[i])]
+            diff[i] = np.stack(cols, axis=1)
+        for j in R.degrees():
+            k = i + j
+            if dims.get(k, 0) == 0:
+                continue
+            t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
+            for a in range(dims[i]):
+                for b in range(R.dim(j)):
+                    Lb = R.left_mult_matrix(la.eye(R.dim(j))[b], j, -k)  # R^{-k} -> R^{-i}
+                    t[a, b] = spaces[k].coords(la.matmul(spaces[i].matrix(a), Lb, p))
+            act[(i, j)] = t
+    return dims, diff, act
+
+
+def hom_differential_oracle(M, N, hc):
+    """The differential of hc = hom_complex(M, N), one coords call per basis map."""
+    p, spaces, layouts = M.p, hc.basis["spaces"], hc.basis["layouts"]
+    diff = {}
+    for n in spaces:
+        if n + 1 not in spaces or spaces[n].dim == 0 or spaces[n + 1].dim == 0:
+            continue
+        sign = -1 if n % 2 else 1
+        cols = []
+        for k in range(spaces[n].dim):
+            phi, off = {}, 0
+            for i, r, c in layouts[n]:
+                phi[i], off = spaces[n].basis[k, off : off + r * c].reshape(r, c), off + r * c
+            parts = []
+            for i, _, _ in layouts[n + 1]:
+                a = la.matmul(N.diff_mat(i + n), phi.get(i, la.zeros(N.dim(i + n), M.dim(i))), p)
+                b = la.matmul(phi.get(i + 1, la.zeros(N.dim(i + 1 + n), M.dim(i + 1))), M.diff_mat(i), p)
+                parts.append(((a - sign * b) % p).reshape(-1))
+            cols.append(spaces[n + 1].coords(np.concatenate(parts)))
+        diff[n] = np.stack(cols, axis=1)
+    return diff
+
+
+def _same_arrays(a: dict, b: dict):
+    return a.keys() == b.keys() and all(a[k].shape == b[k].shape and np.array_equal(a[k], b[k]) for k in a)
+
+
+def test_psi_matches_loop_oracle(algebras, k2):
+    checked = 0
+    for R in dict(algebras, K2=k2).values():
+        for A in (R, R.opposite()):
+            r0 = hk.heart_of(A).r0
+            for K in hk.simples(r0) + [hk.regular_module(r0), hk.injective_envelope(hk.simples(r0)[0]).module]:
+                I = dg.psi(A, K)
+                dims, diff, act = psi_oracle(A, I._psi_spaces)
+                assert I.dims == dims and _same_arrays(I.diff, diff) and _same_arrays(I.act, act), (A.label, K.label)
+                checked += len(act)
+    assert checked > 50
+
+
+def test_hom_differential_matches_loop_oracle(algebras, k2):
+    for R in dict(algebras, K2=k2).values():
+        mods = [R.regular_module(), battery.m_of(R, 1)] + _heart_simples(R)
+        for M in mods:
+            for N in mods:
+                hc = dg.hom_complex(M, N)
+                assert _same_arrays(hc.diff, hom_differential_oracle(M, N, hc)), (R.label, M.label, N.label)
+
+
+def test_mapspace_coords_of_a_stack(k2):
+    sp = dg.psi(k2, hk.regular_module(hk.heart_of(k2).r0))._psi_spaces[1]
+    rng = np.random.default_rng(1)
+    c = rng.integers(0, P, (2, 3, sp.dim))
+    maps = la.as_field(c @ sp.basis, P).reshape(2, 3, sp.rows, sp.cols)
+    assert np.array_equal(sp.coords(maps), c)
+    assert np.array_equal(sp.coords(maps[1, 2]), c[1, 2])
+    assert sp.coords(maps[:0]).shape == (0, 3, sp.dim)
+    # a unit vector at a non-pivot position has coordinates 0 but is not 0
+    outside = la.zeros(sp.rows, sp.cols)
+    outside.flat[next(c for c in range(outside.size) if c not in sp.pivots)] = 1
+    with pytest.raises(ValueError, match="outside the space"):
+        sp.coords(np.stack([maps[0, 0], outside]))
+
+
+# ---------------------------------------------------------------------------
+# free-term cohomology copied from H(R)
+
+
+K3_SPEC = "koszul(x,y,z; k[x,y,z]/(x^2,y^2,z^2))"
+
+
+def _same_cohomology(a, b):
+    cycles = a.cycle_basis.keys() == b.cycle_basis.keys() and all(
+        (x.ambient_dim, x.pivots) == (y.ambient_dim, y.pivots) and x.basis.shape == y.basis.shape
+        and np.array_equal(x.basis, y.basis)
+        for x, y in ((a.cycle_basis[i], b.cycle_basis[i]) for i in a.cycle_basis)
+    )
+    return (a.p, a.dims) == (b.p, b.dims) and cycles and _same_arrays(a.reps, b.reps) and _same_arrays(
+        a.class_proj, b.class_proj) and _same_arrays(a.action, b.action)
+
+
+def test_free_cohomology_matches_cohomology(algebras, k2):
+    algs = dict(algebras, K2=k2, K3=battery.builtin_algebra(K3_SPEC, P))
+    for R in algs.values():
+        for A in (R, R.opposite()):
+            for degs in ([0], [0, 0, 0], [-1, -1], [2], []):
+                F = dg.free_module(A, degs)
+                assert _same_cohomology(dg.free_cohomology(F), dg.cohomology(F)), (A.label, degs)
+
+
+def test_free_cohomology_refuses_other_modules(koszul):
+    twisted = dg.free_module(koszul, [0, -1], twists={(0, 1): koszul.unit})
+    with pytest.raises(ValueError, match="not an untwisted free module"):
+        dg.free_cohomology(twisted)
+    with pytest.raises(ValueError, match=r"generators in degrees \[-1, 0\]"):
+        dg.free_cohomology(dg.free_module(koszul, [0, -1]))
+    for M in (koszul.regular_module(), heart_k(koszul)):
+        with pytest.raises(ValueError, match="not an untwisted free module"):
+            dg.free_cohomology(M)
+
+
+def test_each_elimination_happens_once(algebras, k2, monkeypatch):
+    # kernel and solve_many eliminate once; sppj terms take H(P) from H(R)
+    rref, cohomology = la.rref, dg.cohomology
+    rrefs, cohomology_args = [], []
+
+    def counted_rref(m, p):
+        rrefs.append(np.shape(m))
+        return rref(m, p)
+
+    def counted_cohomology(M, *args, **kwargs):
+        cohomology_args.append(M)
+        return cohomology(M, *args, **kwargs)
+
+    monkeypatch.setattr(la, "rref", counted_rref)
+    monkeypatch.setattr(dg, "cohomology", counted_cohomology)
+    rng = np.random.default_rng(0)
+    for rows, cols in ((0, 3), (4, 0), (5, 7), (30, 20)):
+        m = rng.integers(0, P, (rows, cols)) * (rng.random((rows, cols)) < 0.3)
+        rrefs.clear()
+        la.kernel(m, P)
+        assert len(rrefs) == 1
+        for k in (0, 1, 6):
+            for rhs in (la.matmul(m, rng.integers(0, P, (cols, k)), P), rng.integers(0, P, (rows, k))):
+                rrefs.clear()
+                la.solve_many(m, rhs, P)
+                assert len(rrefs) == 1
+    terms = []
+    for R in dict(algebras, K2=k2).values():
+        for M in [R.regular_module()] + _heart_simples(R):
+            res = rv.SppjResolution(M)
+            res.ensure(3)
+            terms += res.terms
+    assert len(terms) > 20 and cohomology_args
+    assert not any(X is T for X in cohomology_args for T in terms)

@@ -36,6 +36,33 @@ def rref_oracle(m, p):
     return m, pivots
 
 
+def kernel_oracle(m, p):
+    """Two eliminations: the vectors at the free columns of rref(m), then
+    their RREF.  Returns (basis, pivots)."""
+    m = la.as_field(m, p)
+    cols = m.shape[1]
+    rr, piv = rref_oracle(m, p)
+    free = [c for c in range(cols) if c not in piv]
+    basis = la.zeros(len(free), cols)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = (-rr[: len(piv), free].T) % p
+    rr, piv = rref_oracle(basis, p)
+    return rr[: len(piv)], piv
+
+
+def solve_many_oracle(m, rhs, p):
+    """Column by column, one elimination of [m | b] per column."""
+    m, rhs = la.as_field(m, p), la.as_field(rhs, p)
+    n = m.shape[1]
+    x = la.zeros(n, rhs.shape[1])
+    for j in range(rhs.shape[1]):
+        rr, piv = rref_oracle(np.concatenate([m, rhs[:, j : j + 1]], axis=1), p)
+        if n in piv:
+            return None
+        x[piv, j] = rr[: len(piv), -1]
+    return x
+
+
 @st.composite
 def sparse_mats(draw):
     """Sparse matrices with zero rows and columns and dependent rows, up to
@@ -231,3 +258,96 @@ def test_is_prime_matches_trial_division():
     assert la.is_prime(2**61 - 1) and not la.is_prime(2**61 + 1)
     # strong pseudoprimes to the first bases
     assert not la.is_prime(3215031751) and not la.is_prime(3825123056546413051)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_mats())
+def test_kernel_matches_two_elimination_oracle(mp):
+    m, p = mp
+    ker = la.kernel(m, p)
+    basis, piv = kernel_oracle(m, p)
+    assert ker.basis.shape == basis.shape and np.array_equal(ker.basis, basis)
+    assert ker.pivots == piv and all(type(c) is int for c in ker.pivots)
+    assert ker.ambient_dim == m.shape[1]
+    assert not la.matmul(m, ker.basis.T, p).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_mats(), st.integers(0, 4), st.sampled_from(("consistent", "inconsistent", "random")),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_solve_many_matches_per_column_oracle(mp, k, kind, no_rows, seed):
+    m, p = mp
+    if no_rows:
+        m = m[:0]
+    rng = np.random.default_rng(seed)
+    rows, n = m.shape
+    if kind == "random":
+        rhs = rng.integers(0, p, (rows, k))
+    else:
+        rhs = la.matmul(m, rng.integers(0, p, (n, k)), p)
+        if kind == "inconsistent" and rows and k:
+            rhs[int(rng.integers(rows)), int(rng.integers(k))] += int(rng.integers(1, p))
+    got, want = la.solve_many(m, rhs, p), solve_many_oracle(m, rhs, p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.shape == want.shape == (n, k) and np.array_equal(got, want)
+        assert np.array_equal(la.matmul(m, got, p), la.as_field(rhs, p))
+    if kind == "consistent":
+        assert got is not None
+
+
+def test_solve_many_edge_shapes():
+    m = np.array([[1, 2, 0], [0, 0, 1]], dtype=np.int64)
+    assert la.solve_many(m, la.zeros(2, 0), P).shape == (3, 0)
+    assert np.array_equal(la.solve_many(la.zeros(0, 3), la.zeros(0, 2), P), la.zeros(3, 2))
+    # the second column is inconsistent: the whole system has no solution
+    assert la.solve_many([[1, 1], [1, 1]], [[2, 1], [2, 2]], 7) is None
+    assert np.array_equal(la.solve_many([[1, 1], [1, 1]], [[2, 1], [2, 1]], 7), [[2, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        la.solve_many(m, la.zeros(3, 1), P)
+
+
+def _near_rref(rr, piv, mutant, rng, p):
+    """A copy of rr, with pivots piv, that the named change takes out of RREF,
+    or None when rr has no room for that change."""
+    r, x = len(piv), rr.copy()
+    if r == 0:
+        return None
+    i = int(rng.integers(r))
+    if mutant == "leading entry not 1":
+        x[i] = x[i] * int(rng.integers(2, p)) % p
+    elif mutant == "second nonzero in a pivot column":
+        if x.shape[0] == 1:
+            return None
+        k = int(rng.choice([k for k in range(x.shape[0]) if k != i]))
+        x[k, piv[i]] = int(rng.integers(1, p))
+    elif mutant == "zero row in the middle":
+        x = np.insert(x[:r], i, 0, axis=0)
+    elif mutant == "rows out of order":
+        if r == 1:
+            return None
+        k = int(rng.choice([k for k in range(r) if k != i]))
+        x[[i, k]] = x[[k, i]]
+    elif mutant == "equal leading columns":
+        y = x[i].copy()
+        y[piv[i] + 1 :] = rng.integers(0, p, y.size - piv[i] - 1)
+        x = np.insert(x, i + 1, y, axis=0)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_mats(), st.sampled_from(("leading entry not 1", "second nonzero in a pivot column",
+                                       "zero row in the middle", "rows out of order", "equal leading columns")),
+       st.integers(0, 2**32 - 1))
+def test_rref_of_rref_input_and_of_near_rref_mutants(mp, mutant, seed):
+    m, p = mp
+    rr, piv = rref_oracle(m, p)
+    got, got_piv = la.rref(rr, p)
+    assert np.array_equal(got, rr) and got_piv == piv  # RREF input comes back as it is
+    x = _near_rref(rr, piv, mutant, np.random.default_rng(seed), p)
+    if x is None:
+        return
+    want, want_piv = rref_oracle(x, p)
+    assert not np.array_equal(want, x)  # the mutant is not in RREF
+    got, got_piv = la.rref(x, p)
+    assert np.array_equal(got, want) and got_piv == want_piv
