@@ -217,8 +217,6 @@ def koszul_dga(base: dg.DGAlgebra, elements: list[np.ndarray], element_names=Non
                             mat[c, a] = (mat[c, a] + sgn * img[w]) % p
         diff[i] = mat
     unit = np.zeros(dims[0], dtype=np.int64)
-    _, c0 = index[((), int(np.argmax(base.unit)))]
-    unit = np.zeros(dims[0], dtype=np.int64)
     base_names = getattr(base, "names", [f"b{t}" for t in range(m)])
     if isinstance(base_names, dict):
         base_names = base_names.get(0, [f"b{t}" for t in range(m)])

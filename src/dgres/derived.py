@@ -94,7 +94,7 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
     while True:
         F = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
         eps = dg.free_map(F, M, list(sf.images))
-        C, _, _ = dg.cone(eps)
+        C = dg.cone_module(eps)
         cohC = dg.cohomology(C)
         tops = [j for j, d in cohC.dims.items() if d and j > floor]
         if not tops:
@@ -312,7 +312,7 @@ def concentration_scan(M: dg.DGModule, battery: list[hk.FDModule] | None = None,
     modules, as an interval report."""
     R = M.algebra
     battery = battery if battery is not None else heart_battery(R)
-    a, b = window
+    b = window[1]
     if resolution is None and not dg.is_acyclic(M):
         resolution = semifree(M, 0 - b - 2)
     per = {}

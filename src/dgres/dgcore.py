@@ -489,12 +489,9 @@ def shift(M: DGModule, n: int) -> DGModule:
     return DGModule(M.algebra, dims, diff, act, label=f"{M.label}[{n}]")
 
 
-def cone(f: DGMorphism):
-    """Mapping cone with the inclusion of the target and projection to M[1].
-
-    C^i = N^i + M^{i+1}, d(n, m) = (d n + f m, -d m); the action is
-    componentwise.  Returns (C, include: N -> C, project: C -> M[1]).
-    """
+def cone_module(f: DGMorphism) -> DGModule:
+    """The mapping cone C^i = N^i + M^{i+1}, d(n, m) = (d n + f m, -d m),
+    with the componentwise action."""
     M, N, p = f.source, f.target, f.p
     R = M.algebra
     degs = sorted(set(N.degrees()) | {i - 1 for i in M.degrees()})
@@ -515,10 +512,16 @@ def cone(f: DGMorphism):
             t[:cN, :, : N.dim(i + j)] = tN
             t[cN:, :, N.dim(i + j):] = tM
             act[(i, j)] = t
-    C = DGModule(R, dims, diff, act, label=f"cone({f.label or f.source.label + '->' + f.target.label})")
-    inc = DGMorphism(N, C, {i: np.concatenate([la.eye(N.dim(i)), la.zeros(M.dim(i + 1), N.dim(i))]) for i in degs if N.dim(i) or M.dim(i + 1)})
-    M1 = shift(M, 1)
-    prj = DGMorphism(C, M1, {i: np.concatenate([la.zeros(M.dim(i + 1), N.dim(i)), la.eye(M.dim(i + 1))], axis=1) for i in degs if N.dim(i) or M.dim(i + 1)})
+    return DGModule(R, dims, diff, act, label=f"cone({f.label or f.source.label + '->' + f.target.label})")
+
+
+def cone(f: DGMorphism):
+    """The mapping cone with the inclusion of the target and the projection
+    to M[1]: returns (C, include: N -> C, project: C -> M[1])."""
+    M, N = f.source, f.target
+    C = cone_module(f)
+    inc = DGMorphism(N, C, {i: np.concatenate([la.eye(N.dim(i)), la.zeros(M.dim(i + 1), N.dim(i))]) for i in C.dims})
+    prj = DGMorphism(C, shift(M, 1), {i: np.concatenate([la.zeros(M.dim(i + 1), N.dim(i)), la.eye(M.dim(i + 1))], axis=1) for i in C.dims})
     return C, inc, prj
 
 
@@ -528,8 +531,7 @@ def cocone(f: DGMorphism):
     For f : P -> M this produces the triangle  cocone -> P -> M  used by
     resolution steps; returns (cocone, project: cocone -> P).
     """
-    C, _, _ = cone(f)
-    N = shift(C, -1)
+    N = shift(cone_module(f), -1)
     N.label = f"cocone({f.label or f.source.label + '->' + f.target.label})"
     P = f.source
     blocks = {}
@@ -544,89 +546,55 @@ def truncate(M: DGModule, n: int, side: str):
 
     side='below' is the DG-submodule with components M^i for i < n and
     ker(d_n) in degree n, returned with its inclusion; side='above' is the
-    quotient by it, returned with the projection.
+    quotient by it, returned with the projection.  Degree n of the
+    submodule is carried by heartkit's restriction read: images in M^n are
+    read at the pivots of ker(d_n).  Degree n of the quotient is carried
+    through the projection and section of M^n / ker(d_n).
     """
-    p = M.p
-    R = M.algebra
-    if side == "below":
-        Z = la.kernel(M.diff_mat(n), p)
-        incl = {i: la.eye(M.dim(i)) for i in M.degrees() if i < n}
-        if Z.dim:
-            incl[n] = Z.basis.T.copy()
-        dims = {i: M.dim(i) for i in M.degrees() if i < n}
-        if Z.dim:
-            dims[n] = Z.dim
-        diff = {}
-        for i in [d for d in dims if d < n]:
-            if i + 1 < n:
-                diff[i] = M.diff_mat(i)
-            elif i + 1 == n and Z.dim:
-                cols = la.matmul(M.diff_mat(i), la.eye(M.dim(i)), p)
-                coords = la.solve_many(Z.basis.T, cols, p)
-                if coords is None:
-                    raise RuntimeError("truncation: image of d is not inside the cycles")
-                diff[i] = coords
-        act = {}
-        for i in dims:
-            for j in R.degrees():
-                k = i + j
-                if k not in dims and k != n:
-                    continue
-                src = incl[i]
-                t = np.zeros((dims[i], R.dim(j), dims.get(k, 0)), dtype=np.int64)
-                if dims.get(k, 0) == 0:
-                    continue
-                for a in range(dims[i]):
-                    va = src[:, a]
-                    for b in range(R.dim(j)):
-                        img = M.action(va, i, la.eye(R.dim(j))[b], j)
-                        if k == n:
-                            c = la.solve(incl[n], img, p) if Z.dim else np.zeros(0, dtype=np.int64)
-                            if c is None:
-                                raise RuntimeError("truncation: submodule not action-stable")
-                            t[a, b] = c
-                        else:
-                            t[a, b] = img
-                act[(i, j)] = t
+    if side not in ("below", "above"):
+        raise ValueError("side must be 'below' or 'above'")
+    p, R = M.p, M.algebra
+    below = side == "below"
+    Z = la.kernel(M.diff_mat(n), p)
+    proj_n, sect_n = la.quotient_basis(Z)
+    # each kept degree i as the columns basis[i] in M^i, and the blocks of
+    # the inclusion (below) or the projection (above)
+    basis = {i: la.eye(M.dim(i)) for i in M.degrees() if (i < n if below else i > n)}
+    blocks = dict(basis)
+    if below and Z.dim:
+        basis[n] = blocks[n] = Z.basis.T.copy()
+    elif not below and proj_n.shape[0]:
+        basis[n], blocks[n] = sect_n, proj_n
+    dims = {i: b.shape[1] for i, b in basis.items()}
+
+    def read(k, cols):
+        """Columns of M^k in the coordinates of degree k of the result."""
+        if k != n:
+            return cols
+        return hk.coordinates(Z, cols, "truncate") if below else la.matmul(proj_n, cols, p)
+
+    # d_n vanishes on ker(d_n); every other kept degree keeps its differential
+    diff = {
+        i: read(i + 1, la.matmul(M.diff_mat(i), basis[i], p))
+        for i in dims
+        if not (below and i == n) and (i + 1 != n or n in dims)
+    }
+    act = {}
+    for i in dims:
+        for j in R.degrees():
+            if i + j in dims:
+                # t[x, b, y] is (basis_x . r_b)[y]; read acts on columns y
+                t = np.tensordot(basis[i], M.act_tensor(i, j), axes=(0, 0)) % p
+                act[(i, j)] = np.moveaxis(read(i + j, np.moveaxis(t, 0, -1)), -1, 0)
+    if below:
         S = DGModule(R, dims, diff, act, label=f"trunc<= {n}({M.label})")
-        return S, DGMorphism(S, M, {i: v for i, v in incl.items()})
-    if side == "above":
-        Z = la.kernel(M.diff_mat(n), p)
-        proj_n, sect_n = la.quotient_basis(Z)
-        q = proj_n.shape[0]
-        dims = {i: M.dim(i) for i in M.degrees() if i > n}
-        if q:
-            dims[n] = q
-        proj = {i: la.eye(M.dim(i)) for i in M.degrees() if i > n}
-        if q:
-            proj[n] = proj_n
-        diff = {}
-        if q:
-            diff[n] = la.matmul(M.diff_mat(n), sect_n, p)
-        for i in [d for d in dims if d > n]:
-            diff[i] = M.diff_mat(i)
-        act = {}
-        for i in dims:
-            for j in R.degrees():
-                k = i + j
-                if dims.get(k, 0) == 0 or dims.get(i, 0) == 0:
-                    continue
-                t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
-                sect_i = sect_n if i == n else la.eye(M.dim(i))
-                for a in range(dims[i]):
-                    va = sect_i[:, a]
-                    for b in range(R.dim(j)):
-                        img = M.action(va, i, la.eye(R.dim(j))[b], j)
-                        t[a, b] = la.matmul(proj[k], img, p)
-                act[(i, j)] = t
-        Q = DGModule(R, dims, diff, act, label=f"trunc> {n}({M.label})")
-        return Q, DGMorphism(M, Q, {i: v for i, v in proj.items()})
-    raise ValueError("side must be 'below' or 'above'")
+        return S, DGMorphism(S, M, blocks)
+    Q = DGModule(R, dims, diff, act, label=f"trunc> {n}({M.label})")
+    return Q, DGMorphism(M, Q, blocks)
 
 
 def is_quasi_iso(f: DGMorphism) -> bool:
-    C, _, _ = cone(f)
-    return cohomology(C, with_action=False).is_acyclic()
+    return cohomology(cone_module(f), with_action=False).is_acyclic()
 
 
 def is_acyclic(M: DGModule) -> bool:
@@ -788,7 +756,6 @@ def hom_complex(M: DGModule, N: DGModule, window: tuple[int, int] | None = None)
     if M.algebra is not N.algebra and M.algebra.dims != N.algebra.dims:
         raise ValueError("hom_complex: modules over different algebras")
     p = M.p
-    R = M.algebra
     if not M.degrees() or not N.degrees():
         return KComplex(p, {}, {}, label="Hom")
     nlo = N.lo() - M.hi()
@@ -983,12 +950,9 @@ def heart_embed(R: DGAlgebra, N: hk.FDModule) -> DGModule:
         raise ValueError("heart_embed expects a module over H0")
     if N.dim == 0:
         return zero_module(R)
-    act = {}
-    t = np.zeros((N.dim, R.dim(0), N.dim), dtype=np.int64)
-    for b in range(R.dim(0)):
-        t[:, b, :] = N.action_of(la.matmul(hd.project, la.eye(R.dim(0))[b], R.p)).T
-    act[(0, 0)] = t
-    return DGModule(R, {0: N.dim}, {}, act, label=f"heart({N.label})")
+    # R0 acts along R0 ↠ H0; act[(0, 0)][x, b, y] = action[b][y, x]
+    t = np.transpose(hk.restrict_to_r0(hd, N).action, (2, 0, 1)).copy()
+    return DGModule(R, {0: N.dim}, {}, {(0, 0): t}, label=f"heart({N.label})")
 
 
 def dualize(M: DGModule) -> DGModule:

@@ -9,7 +9,27 @@ functor sending an R0-module K to the H0-submodule killed by the
 
 Conventions: a right module of dimension d over an algebra of dimension n
 stores its action as an (n, d, d) array, action[a] being the matrix of right
-multiplication by the a-th basis element (v . e_a = action[a] @ v).
+multiplication by the a-th basis element (v . e_a = action[a] @ v).  The
+regular module's action is np.transpose(mult, (1, 2, 0)).
+
+An action tensor is carried to a new module in one of three ways, each
+written once below:
+
+  restrict   to a stable subspace W: the action is applied to W's RREF
+             basis and the coordinates of the images are read at W's
+             pivots, where the basis is the identity; one whole-array
+             check confirms that every image stayed inside W.  No
+             elimination runs.
+  quotient   to k^d / W: one contraction through the projection and the
+             section of la.quotient_basis(W).
+  pull_back  along a linear map m into the algebra (an algebra map, or the
+             section of a quotient by an ideal that acts as zero): one
+             contraction over the algebra axis, b acting as
+             sum_a m[a, b] action[a].
+
+Freeness is read off the projective cover.  Over a split algebra
+top(A_A) = ⊕ S_i^{dim S_i}, so N is free of rank n iff it is projective
+with top multiplicities m_i = n dim S_i, which the cover records.
 
 The radical is computed with the trace-form method, which is valid whenever
 the characteristic exceeds the algebra dimension; this is checked at entry.
@@ -26,6 +46,13 @@ import numpy as np
 
 from . import exactla as la
 from .exactla import Subspace
+
+
+# retry budgets of the randomised steps
+ROOT_SPLIT_TRIES = 64
+CENTRAL_SPLIT_TRIES = 40
+SIMPLE_EXTRACT_TRIES = 60
+FREE_BASIS_TRIES = 64
 
 
 class UnsplitFactorError(RuntimeError):
@@ -78,7 +105,7 @@ class OrdinaryAlgebra:
 
     def validate(self) -> list[str]:
         bad = []
-        n, p = self.dim, self.p
+        n = self.dim
         basis = la.eye(n)
         for a in range(n):
             if np.any(self.multiply(self.unit, basis[a]) != basis[a]):
@@ -97,23 +124,18 @@ class OrdinaryAlgebra:
 
 
 def quotient_algebra(A: OrdinaryAlgebra, ideal: Subspace):
-    """A / ideal with projection and section; ideal must be two-sided."""
-    proj, sect = la.quotient_basis(ideal)
-    q = proj.shape[0]
-    mult = np.zeros((q, q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            prod = A.multiply(sect[:, a], sect[:, b])
-            mult[a, b] = la.matmul(proj, prod, A.p)
+    """A / ideal with projection and section; ideal must be two-sided.
+
+    The product of A / ideal is the regular action on the quotient, pulled
+    back along the section: mult[a, b] = proj(sect_a sect_b).
+    """
+    # two-sided: stable under the regular actions of A and of its opposite
+    regular = regular_module(A).action
+    restrict(np.concatenate([regular, regular_module(A.opposite()).action]), ideal, "quotient_algebra")
+    act, proj, sect = quotient(regular, ideal)
+    mult = np.transpose(pull_back(act, sect, A.p), (2, 0, 1)).copy()
     unit = la.matmul(proj, A.unit, A.p)
-    Q = OrdinaryAlgebra(A.p, q, mult, unit, label=A.label + "/I", seed=A.seed)
-    for row in ideal.basis:
-        for a in range(A.dim):
-            if np.any(la.matmul(proj, A.multiply(row, la.eye(A.dim)[a]), A.p)) or np.any(
-                la.matmul(proj, A.multiply(la.eye(A.dim)[a], row), A.p)
-            ):
-                raise ValueError("quotient_algebra: subspace is not a two-sided ideal")
-    return Q, proj, sect
+    return OrdinaryAlgebra(A.p, proj.shape[0], mult, unit, label=A.label + "/I", seed=A.seed), proj, sect
 
 
 def _trace_kernel(A: OrdinaryAlgebra) -> Subspace:
@@ -216,7 +238,7 @@ def _ppowmod(base, e, mod, p):
     return result
 
 
-def _split_roots(f, p, rng, budget=64):
+def _split_roots(f, p, rng):
     """All roots of a monic polynomial that is squarefree and split over GF(p)."""
     f = _ptrim(f, p)
     inv = pow(f[-1], p - 2, p)
@@ -231,7 +253,7 @@ def _split_roots(f, p, rng, budget=64):
     xp_minus_x = _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp + [0, 0])], p)
     if xp_minus_x != [0]:
         raise UnsplitFactorError("minimal polynomial does not split over GF(p)")
-    for _ in range(budget):
+    for _ in range(ROOT_SPLIT_TRIES):
         delta = int(rng.integers(0, p))
         g = _ppowmod([delta, 1], (p - 1) // 2, f, p)
         g = _ptrim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(g + [0])], p)
@@ -242,7 +264,7 @@ def _split_roots(f, p, rng, budget=64):
             q, r = _pdivmod(f, d, p)
             if r != [0]:
                 raise RuntimeError("a gcd of f does not divide f; polynomial arithmetic over GF(p) is corrupt")
-            return sorted(_split_roots(d, p, rng, budget) + _split_roots(q, p, rng, budget))
+            return sorted(_split_roots(d, p, rng) + _split_roots(q, p, rng))
     raise UnsplitFactorError("root splitting exceeded the retry budget")
 
 
@@ -287,8 +309,8 @@ def zero_module(A: OrdinaryAlgebra) -> FDModule:
 
 
 def regular_module(A: OrdinaryAlgebra) -> FDModule:
-    action = np.stack([A.right_mult(la.eye(A.dim)[a]) for a in range(A.dim)])
-    return FDModule(A, A.dim, action, label=A.label or "A")
+    # action[a][c, b] = mult[b, a, c], the coefficient of e_c in e_b e_a
+    return FDModule(A, A.dim, np.transpose(A.mult, (1, 2, 0)) % A.p, label=A.label or "A")
 
 
 def direct_sum(mods: list[FDModule]):
@@ -307,41 +329,59 @@ def direct_sum(mods: list[FDModule]):
     return FDModule(A, total, action), incls
 
 
+# ---------------------------------------------------------------------------
+# carrying an action tensor: restrict, quotient, pull_back
+
+
+def coordinates(sub: Subspace, cols, what: str) -> np.ndarray:
+    """Coordinates in sub's RREF basis of the columns of cols (..., n, k).
+
+    They are read at sub's pivots, as (..., dim sub, k); one whole-array
+    check confirms that every column lies in sub, and a RuntimeError naming
+    `what` is raised when one does not.
+    """
+    coords = cols[..., sub.pivots, :]
+    if np.any(la.matmul(sub.basis.T, coords, sub.p) != cols):
+        raise RuntimeError(f"{what}: subspace is not stable under the action")
+    return coords
+
+
+def restrict(action, sub: Subspace, what: str) -> np.ndarray:
+    """The action tensor (A, n, n) on the stable subspace sub, (A, d, d)."""
+    return coordinates(sub, la.matmul(action, sub.basis.T, sub.p), what)
+
+
+def quotient(action, sub: Subspace):
+    """The action tensor (A, n, n) on k^n / sub, with its projection and
+    section; sub must be stable."""
+    proj, sect = la.quotient_basis(sub)
+    return la.matmul(proj, la.matmul(action, sect, sub.p), sub.p), proj, sect
+
+
+def pull_back(action, m, p: int) -> np.ndarray:
+    """The action tensor (A, d, d) along the linear map m (A, B) into the
+    algebra: b acts as sum_a m[a, b] action[a], (B, d, d)."""
+    return np.tensordot(la.as_field(m, p), action, axes=(0, 0)) % p
+
+
 def submodule(M: FDModule, vectors, label="") -> tuple[FDModule, np.ndarray]:
     """Submodule generated by the given vectors; returns (module, inclusion)."""
     p = M.algebra.p
-    rows = [la.as_field(v, p) for v in vectors]
-    closed = list(rows)
-    for v in rows:
-        for a in range(M.algebra.dim):
-            closed.append(la.matmul(M.action[a], v, p))
-    sub = la.span(closed if closed else la.zeros(0, M.dim), M.dim, p)
-    incl = sub.basis.T.copy()
-    d = sub.dim
-    action = np.zeros((M.algebra.dim, d, d), dtype=np.int64)
-    for a in range(M.algebra.dim):
-        img = la.matmul(M.action[a], incl, p)
-        coords = la.solve_many(incl, img, p)
-        if coords is None:
-            raise RuntimeError("submodule: generated span is not action-closed")
-        action[a] = coords
-    return FDModule(M.algebra, d, action, label=label), incl
+    rows = la.as_field(vectors, p).reshape(len(vectors), M.dim)
+    # v . A is the submodule generated by v, since the unit acts as 1
+    images = np.swapaxes(la.matmul(M.action, rows.T, p), 1, 2).reshape(-1, M.dim)
+    return subspace_module(M, la.span(np.concatenate([rows, images]), M.dim, p), label=label)
 
 
 def subspace_module(M: FDModule, sub: Subspace, label="") -> tuple[FDModule, np.ndarray]:
-    """The subspace (assumed action-stable) as a module with inclusion."""
-    return submodule(M, list(sub.basis) if sub.dim else [], label=label)
+    """A stable subspace as a module, with its inclusion."""
+    return FDModule(M.algebra, sub.dim, restrict(M.action, sub, "subspace_module"), label=label), sub.basis.T.copy()
 
 
 def quotient_module(M: FDModule, sub: Subspace, label="") -> tuple[FDModule, np.ndarray]:
-    """M / sub for an action-stable subspace; returns (module, projection)."""
-    p = M.algebra.p
-    proj, sect = la.quotient_basis(sub)
-    q = proj.shape[0]
-    action = np.zeros((M.algebra.dim, q, q), dtype=np.int64)
-    for a in range(M.algebra.dim):
-        action[a] = la.matmul(proj, la.matmul(M.action[a], sect, p), p)
-    return FDModule(M.algebra, q, action, label=label), proj
+    """M / sub for a stable subspace; returns (module, projection)."""
+    action, proj, _ = quotient(M.action, sub)
+    return FDModule(M.algebra, proj.shape[0], action, label=label), proj
 
 
 def module_times_ideal(M: FDModule, ideal: Subspace) -> Subspace:
@@ -372,11 +412,8 @@ def hom_space(M: FDModule, N: FDModule) -> la.MapSpace:
 
 def dual_module(M: FDModule, label="") -> FDModule:
     """k-dual as a module over the opposite algebra."""
-    op = M.algebra.opposite()
-    action = np.stack([M.action[a].T.copy() for a in range(op.dim)]) if M.dim else np.zeros(
-        (op.dim, 0, 0), dtype=np.int64
-    )
-    return FDModule(op, M.dim, action % M.algebra.p, label=label or ("D(" + M.label + ")"))
+    action = np.swapaxes(M.action, 1, 2) % M.algebra.p
+    return FDModule(M.algebra.opposite(), M.dim, action, label=label or ("D(" + M.label + ")"))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +429,7 @@ def _center(A: OrdinaryAlgebra) -> np.ndarray:
     return la.kernel(big, A.p).basis
 
 
-def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng, budget=40):
+def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng):
     """Central primitive idempotents of the semisimple algebra S."""
     center = _center(S)
     queue = [S.unit.copy()]
@@ -406,7 +443,7 @@ def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng, budget=40):
             finished.append(u)
             continue
         split = False
-        for _ in range(budget):
+        for _ in range(CENTRAL_SPLIT_TRIES):
             coeffs = rng.integers(0, S.p, size=basis.dim)
             z = (coeffs @ basis.basis) % S.p
             # minimal polynomial of z inside the unital block algebra uSu
@@ -446,8 +483,9 @@ def _minpoly_in_block(S: OrdinaryAlgebra, u, z) -> list[int]:
         vecs.append(w.copy())
 
 
-def _simple_of_block(S: OrdinaryAlgebra, u, rng, budget=60):
-    """A simple right ideal of the split-simple block uS, with its basis."""
+def _simple_of_block(S: OrdinaryAlgebra, u, rng):
+    """The block uS, a simple right ideal W of it and the size n of the
+    matrix algebra uS, as (uS, W, n) with uS and W subspaces of S."""
     p = S.p
     block_rows = [S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)]
     B = la.span(block_rows, S.dim, p)  # basis of uS inside S
@@ -456,9 +494,8 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng, budget=60):
     if n * n != d:
         raise UnsplitFactorError(f"block of dimension {d} is not a matrix algebra over GF(p)")
     if n == 1:
-        W = la.span([u], S.dim, p)
-        return W, n
-    for _ in range(budget):
+        return B, la.span([u], S.dim, p), n
+    for _ in range(SIMPLE_EXTRACT_TRIES):
         coeffs = rng.integers(0, p, size=d)
         b = (coeffs @ B.basis) % p
         f = _minpoly_in_block(S, u, b)
@@ -469,12 +506,9 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng, budget=60):
         for lam in roots:
             # left multiplication by (b - lam u) restricted to uS
             op = (S.left_mult(b) - lam * la.eye(S.dim)) % p
-            imgs = la.matmul(op, B.basis.T, p)
-            coords = la.solve_many(B.basis.T, imgs, p)
-            ker = la.kernel(coords, p)
+            ker = la.kernel(restrict(op, B, "_simple_of_block"), p)
             if ker.dim == n:
-                W = la.span([(v @ B.basis) % p for v in ker.basis], S.dim, p)
-                return W, n
+                return B, la.span([(v @ B.basis) % p for v in ker.basis], S.dim, p), n
     raise UnsplitFactorError("simple extraction exceeded the retry budget")
 
 
@@ -488,43 +522,29 @@ def _verify_simple(mod: FDModule) -> bool:
     return True
 
 
-def _module_on_subspace(A: OrdinaryAlgebra, act_source: OrdinaryAlgebra, proj, W: Subspace, label=""):
-    """Right A-module structure on W ⊆ act_source via a -> proj(a)."""
-    p = A.p
-    action = np.zeros((A.dim, W.dim, W.dim), dtype=np.int64)
-    for a in range(A.dim):
-        abar = la.matmul(proj, la.eye(A.dim)[a], p) if proj is not None else la.eye(A.dim)[a]
-        R = act_source.right_mult(abar)
-        imgs = la.matmul(R, W.basis.T, p)
-        coords = la.solve_many(W.basis.T, imgs, p)
-        if coords is None:
-            raise RuntimeError("subspace is not stable under the action")
-        action[a] = coords
-    return FDModule(A, W.dim, action, label=label)
-
-
 def simples(A: OrdinaryAlgebra, seed: int | None = None) -> list[FDModule]:
     """Complete irredundant list of simple right A-modules."""
     key = "simples"
     if key in A._cache:
         return A._cache[key]
     rng = np.random.default_rng(A.seed if seed is None else seed)
-    S, proj, sect = semisimple_quotient(A)
+    S, proj, _ = semisimple_quotient(A)
     blocks = _block_split(A, S, rng)
     blocks.sort(key=lambda u: tuple(int(x) for x in u))
+    regular = regular_module(S).action
     mods = []
     block_data = []
     for u in blocks:
-        W, n = _simple_of_block(S, u, rng)
-        mod = _module_on_subspace(A, S, proj, W, label=f"S{len(mods)}")
+        B, W, _ = _simple_of_block(S, u, rng)
+        # W is a right ideal of S, and A acts on it through A -> S
+        on_W = restrict(regular, W, "simples")
+        mod = FDModule(A, W.dim, pull_back(on_W, proj, A.p), label=f"S{len(mods)}")
         if not _verify_simple(mod):
             raise UnsplitFactorError("extracted module failed the simplicity check")
         mods.append(mod)
-        block_data.append((u, W, n))
+        block_data.append((B, on_W))
     A._cache[key] = mods
     A._cache["blocks"] = block_data
-    A._cache["ss_proj"] = proj
-    A._cache["ss_sect"] = sect
     return mods
 
 
@@ -533,23 +553,17 @@ def _lift_idempotents(A: OrdinaryAlgebra):
     if "prim_idem" in A._cache:
         return A._cache["prim_idem"]
     simples(A)
-    S, proj, sect = semisimple_quotient(A)
+    _, _, sect = semisimple_quotient(A)
     p = A.p
     prims_bar = []
-    for u, W, n in A._cache["blocks"]:
-        # solve for e in uS acting on W as the projection onto the first basis vector
-        block_rows = [S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)]
-        B = la.span(block_rows, S.dim, p)
-        target = la.zeros(W.dim, W.dim)
+    for B, on_W in A._cache["blocks"]:
+        # solve for e in uS acting on W as the projection onto the first
+        # basis vector; the block's basis acts on W along B.basis.T
+        w = on_W.shape[1]
+        target = la.zeros(w, w)
         target[0, 0] = 1
-        cols = []
-        for r in range(B.dim):
-            b = B.basis[r]
-            R = S.right_mult(b)
-            imgs = la.matmul(R, W.basis.T, p)
-            coords = la.solve_many(W.basis.T, imgs, p)
-            cols.append(coords.reshape(-1))
-        sol = la.solve(np.stack(cols, axis=1), target.reshape(-1), p)
+        cols = pull_back(on_W, B.basis.T, p).reshape(B.dim, w * w).T
+        sol = la.solve(cols, target.reshape(-1), p)
         if sol is None:
             raise UnsplitFactorError("no idempotent realizes the rank-one projection")
         prims_bar.append((sol @ B.basis) % p)
@@ -592,6 +606,9 @@ class CoverData:
     module: FDModule
     map: np.ndarray  # cover -> N for projective covers, N -> envelope for injective
     kernel: Subspace | None
+    # top multiplicities m_i of N, P(N) = ⊕ P(S_i)^{m_i}; projective covers
+    # of nonzero modules only
+    multiplicities: list[int] | None = None
 
 
 def projective_cover(N: FDModule) -> CoverData:
@@ -603,9 +620,11 @@ def projective_cover(N: FDModule) -> CoverData:
     top, proj_top = top_of(N)
     pieces = []
     maps = []
+    mults = []
     for i, e in enumerate(idems):
         e_on_top = top.action_of(e)
         img = la.span(e_on_top.T, top.dim, p)
+        mults.append(img.dim)
         P, incl = projective_indecomposable(A, i)
         for row in img.basis:
             # v in N.e_i lifting the top vector `row`; map e_i a -> v.a
@@ -620,7 +639,7 @@ def projective_cover(N: FDModule) -> CoverData:
     cover_map = np.concatenate(maps, axis=1) % p
     if la.rank(cover_map, p) != N.dim:
         raise RuntimeError("projective_cover: structure map is not surjective")
-    return CoverData(cover, cover_map, la.kernel(cover_map, p))
+    return CoverData(cover, cover_map, la.kernel(cover_map, p), mults)
 
 
 def injective_envelope(N: FDModule) -> CoverData:
@@ -644,36 +663,41 @@ def is_injective(N: FDModule) -> bool:
     return injective_envelope(N).module.dim == N.dim if N.dim else True
 
 
-def free_rank(N: FDModule):
-    """Rank when N is free, else None."""
+def free_rank(N: FDModule, cover: CoverData | None = None):
+    """Rank when N is free, else None.
+
+    N is free of rank n iff it is projective with top multiplicities
+    m_i = n dim S_i, those of A^n (module docstring).  `cover` is N's
+    projective cover when the caller already has it.
+    """
     A = N.algebra
     if N.dim == 0:
         return 0
     if N.dim % A.dim:
         return None
     n = N.dim // A.dim
-    if not is_projective(N):
+    cover = cover or projective_cover(N)
+    if cover.module.dim != N.dim:
         return None
-    m_free = top_multiplicities(A, regular_module(A))
-    m_n = top_multiplicities(A, N)
-    return n if all(mn == n * mf for mn, mf in zip(m_n, m_free)) else None
+    return n if all(m == n * S.dim for m, S in zip(cover.multiplicities, simples(A))) else None
 
 
-def free_basis(N: FDModule, budget: int = 64):
+def free_basis(N: FDModule, cover: CoverData | None = None):
     """Elements g_1..g_n with (a_c) -> sum g_c . a_c an isomorphism A^n -> N.
 
     Returns None when N is not free.  For a free module a random generator
     tuple works with probability close to 1 over a large field; the result is
-    certified by an exact rank computation, never assumed.
+    certified by an exact rank computation, never assumed, and a RuntimeError
+    is raised when no tried tuple is certified.  `cover` is as for free_rank.
     """
     A, p = N.algebra, N.algebra.p
-    n = free_rank(N)
+    n = free_rank(N, cover)
     if n is None:
         return None
     if n == 0:
         return []
     rng = np.random.default_rng(A.seed + 0x5EED)
-    for _ in range(budget):
+    for _ in range(FREE_BASIS_TRIES):
         gens = [rng.integers(0, p, size=N.dim).astype(np.int64) for _ in range(n)]
         cols = []
         for g in gens:
@@ -681,7 +705,7 @@ def free_basis(N: FDModule, budget: int = 64):
                 cols.append(la.matmul(N.action[a], g, p))
         if la.rank(np.stack(cols, axis=1), p) == N.dim:
             return gens
-    return None
+    raise RuntimeError("free_basis: no certified free basis within the retry budget")
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +714,7 @@ def free_basis(N: FDModule, budget: int = 64):
 
 def split_mono_check(source: FDModule, target: FDModule, g) -> bool:
     """True iff g : source -> target admits an equivariant retraction."""
-    A, p = source.algebra, source.algebra.p
+    p = source.algebra.p
     hs = hom_space(target, source)
     if source.dim == 0:
         return True
@@ -702,7 +726,7 @@ def split_mono_check(source: FDModule, target: FDModule, g) -> bool:
 
 def split_epi_check(source: FDModule, target: FDModule, g) -> bool:
     """True iff g : source -> target admits an equivariant section."""
-    A, p = source.algebra, source.algebra.p
+    p = source.algebra.p
     hs = hom_space(target, source)
     if target.dim == 0:
         return True
@@ -764,32 +788,18 @@ def heart_of(R) -> HeartData:
 
 def restrict_to_r0(hd: HeartData, N: FDModule) -> FDModule:
     """An H0-module viewed as an R0-module along R0 ↠ H0."""
-    p = hd.r0.p
-    action = np.zeros((hd.r0.dim, N.dim, N.dim), dtype=np.int64)
-    for a in range(hd.r0.dim):
-        action[a] = N.action_of(la.matmul(hd.project, la.eye(hd.r0.dim)[a], p))
-    return FDModule(hd.r0, N.dim, action, label=N.label)
+    return FDModule(hd.r0, N.dim, pull_back(N.action, hd.project, hd.r0.p), label=N.label)
 
 
 def pi_shriek(hd: HeartData, K: FDModule) -> tuple[FDModule, Subspace]:
     """The H0-module {k in K : k . B0 = 0}, with its subspace inside K.
 
-    For K injective over R0 the result is injective over H0.
+    For K injective over R0 the result is injective over H0.  B0 acts as
+    zero on it, so H0 acts along the section hd.lift.
     """
     p = hd.r0.p
     if K.dim == 0:
         return zero_module(hd.h0), la.span(la.zeros(0, 0), 0, p)
-    rows = [K.action_of(b) for b in hd.boundaries.basis]
-    if rows:
-        ann = la.kernel(np.concatenate(rows, axis=0), p)
-    else:
-        ann = la.span(la.eye(K.dim), K.dim, p)
-    action = np.zeros((hd.h0.dim, ann.dim, ann.dim), dtype=np.int64)
-    for a in range(hd.h0.dim):
-        mat = K.action_of(hd.lift[:, a])
-        imgs = la.matmul(mat, ann.basis.T, p)
-        coords = la.solve_many(ann.basis.T, imgs, p)
-        if coords is None:
-            raise RuntimeError("annihilator of the boundaries is not H0-stable")
-        action[a] = coords
+    ann = la.kernel(pull_back(K.action, hd.boundaries.basis.T, p).reshape(-1, K.dim), p)
+    action = restrict(pull_back(K.action, hd.lift, p), ann, "pi_shriek")
     return FDModule(hd.h0, ann.dim, action, label=f"pi!({K.label})"), ann

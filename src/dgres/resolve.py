@@ -67,7 +67,7 @@ class StageInfo:
     term_rank: int
     term_shift: int | None
     term_kind: str  # 'free' or 'psi'
-    minimal: str  # 'cover', 'free-minimal', 'basis', 'explicit'
+    minimal: str  # 'cover', 'free-minimal' or 'explicit' (sppj), 'envelope' (ifij)
     model_dims: dict
 
 
@@ -169,7 +169,8 @@ def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     s = coh.sup
     Q = dg.heart_module(M, s, coh)
     cert = {"sup": s, "h_sup_dim": Q.dim}
-    if not hk.is_projective(Q):
+    cover = hk.projective_cover(Q)
+    if cover.module.dim != Q.dim:
         cert["h_sup_projective"] = False
         return False, cert
     cert["h_sup_projective"] = True
@@ -181,11 +182,9 @@ def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
             cert["action_map_dims"] = [int(src), int(tgt)]
             return False, cert
     cert["action_maps_bijective"] = True
-    n = hk.free_rank(Q)
-    if n is not None:
-        gens = hk.free_basis(Q)
-        if gens is None:
-            raise RuntimeError("free module without a certified free basis")
+    gens = hk.free_basis(Q, cover)
+    if gens is not None:
+        n = len(gens)
         P = dg.free_module(M.algebra, [s] * n)
         images = [coh.rep(s, g) for g in gens]
         phi = dg.free_map(P, M, images)
@@ -210,7 +209,7 @@ def membership_F(M: dg.DGModule, coh: dg.CohomologyData | None = None):
 # resolution steps
 
 
-def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.CohomologyData | None = None):
+def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = None):
     """One resolution stage: (P, f, next_model, g, info, H(P)).
 
     P is free with all generators in degree sup M; f is strict with
@@ -227,20 +226,15 @@ def sppj_step(M: dg.DGModule, minimal: bool = True, generators=None, coh: dg.Coh
     Q = dg.heart_module(M, s, coh)
     mode = "explicit"
     if generators is None:
-        if minimal:
-            n = hk.free_rank(Q)
-            if n is not None:
-                gens = hk.free_basis(Q)
-                generators = np.stack(gens, axis=1) if gens else la.zeros(Q.dim, 0)
-                mode = "cover"
-            else:
-                top, proj_top = hk.top_of(Q)
-                cols = [la.solve(proj_top, la.eye(top.dim)[t], M.p) for t in range(top.dim)]
-                generators = np.stack(cols, axis=1) if cols else la.zeros(Q.dim, 0)
-                mode = "free-minimal"
+        gens = hk.free_basis(Q)  # None unless H^sup is free
+        if gens is not None:
+            generators = np.stack(gens, axis=1) if gens else la.zeros(Q.dim, 0)
+            mode = "cover"
         else:
-            generators = la.eye(Q.dim)
-            mode = "basis"
+            top, proj_top = hk.top_of(Q)
+            cols = [la.solve(proj_top, la.eye(top.dim)[t], M.p) for t in range(top.dim)]
+            generators = np.stack(cols, axis=1) if cols else la.zeros(Q.dim, 0)
+            mode = "free-minimal"
     generators = la.as_field(generators, M.p).reshape(Q.dim, -1)
     g_count = generators.shape[1]
     P = dg.free_module(R, [s] * g_count, label=f"R^{g_count}[{-s}]")
@@ -305,7 +299,7 @@ def _psi_target(R, J: hk.FDModule, t: int):
     return I, hull
 
 
-def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | None = None):
+def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     """One inf-injective stage: (I, f, next_model, g, info, H(I)).
 
     I is a shifted psi-type DG-injective, f : M -> I is strict with
@@ -313,30 +307,20 @@ def ifij_step(M: dg.DGModule, minimal: bool = True, coh: dg.CohomologyData | Non
     carries the H(R) action.
     """
     R = M.algebra
-    hd = hk.heart_of(R)
     coh = coh or dg.cohomology(M)
     if coh.is_acyclic():
         raise ValueError("the zero object admits no inf-injective morphism")
     t = coh.inf
     Q = dg.heart_module(M, t, coh)
     env = hk.injective_envelope(Q)
-    J, emb = env.module, env.map
-    mode = "envelope"
-    if not minimal:
-        cog = hk.dual_module(hk.regular_module(hd.h0.opposite()))
-        cog = hk.FDModule(hd.h0, cog.dim, cog.action, label="D(H0)")
-        J2, incls = hk.direct_sum([J, cog])
-        emb = la.matmul(incls[0], emb, M.p)
-        J = J2
-        mode = "envelope+cogenerator"
-    I, hull = _psi_target(R, J, t)
-    f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, emb, M.p))
+    I, hull = _psi_target(R, env.module, t)
+    f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, env.map, M.p))
     cohI = dg.cohomology(I)
     hmap = dg.cohomology_map(f, t, coh, cohI)
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
     nxt, inc, _ = dg.cone(f)
-    info = StageInfo(-1, t, I.total_dim, -t, "psi", mode, dict(M.dims))
+    info = StageInfo(-1, t, I.total_dim, -t, "psi", "envelope", dict(M.dims))
     return I, f, nxt, inc, info, cohI
 
 
@@ -367,9 +351,8 @@ class Resolution:
 
     edge_name: str  # 'sup' or 'inf'
 
-    def __init__(self, M: dg.DGModule, minimal: bool = True):
+    def __init__(self, M: dg.DGModule):
         self.base = M
-        self.minimal = minimal
         self.models = [M]
         self.cohs = [dg.cohomology(M)]
         self.terms: list[dg.DGModule] = []
@@ -399,7 +382,7 @@ class Resolution:
         if self.length is not None:
             raise RuntimeError("resolution already terminated")
         i = len(self.terms)
-        term, f, nxt, g, info, term_coh = self._step(self.models[i], minimal=self.minimal, coh=self.cohs[i], **options)
+        term, f, nxt, g, info, term_coh = self._step(self.models[i], coh=self.cohs[i], **options)
         info.index = i
         self.terms.append(term)
         self.term_cohs.append(term_coh)
@@ -494,23 +477,23 @@ def _dimension(res: Resolution, cap: int, kind: str, member) -> DimensionReport:
     return report
 
 
-def pd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
+def pd(M: dg.DGModule, cap: int = 16, resolution: SppjResolution | None = None) -> DimensionReport:
     """Projective dimension via sup-projective resolutions."""
-    res = resolution or SppjResolution(M, minimal=minimal)
+    res = resolution or SppjResolution(M)
     return _dimension(res, cap, "pd", membership_P)
 
 
-def fd(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: SppjResolution | None = None) -> DimensionReport:
+def fd(M: dg.DGModule, cap: int = 16, resolution: SppjResolution | None = None) -> DimensionReport:
     """Flat dimension via sup-flat resolutions (free terms, flat membership)."""
-    res = resolution or SppjResolution(M, minimal=minimal)
+    res = resolution or SppjResolution(M)
     rep = _dimension(res, cap, "fd", membership_F)
     rep.notes.append("sup-flat terms are free; flat covers of finitely generated modules over a finite-dimensional algebra are projective covers")
     return rep
 
 
-def injdim(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: IfijResolution | None = None) -> DimensionReport:
+def injdim(M: dg.DGModule, cap: int = 16, resolution: IfijResolution | None = None) -> DimensionReport:
     """Injective dimension via inf-injective resolutions."""
-    res = resolution or IfijResolution(M, minimal=minimal)
+    res = resolution or IfijResolution(M)
     return _dimension(res, cap, "injdim", membership_I)
 
 
@@ -518,7 +501,7 @@ def injdim(M: dg.DGModule, cap: int = 16, minimal: bool = True, resolution: Ifij
 # global dimension and friends
 
 
-def gldim(R: dg.DGAlgebra, cap: int = 16, minimal: bool = True) -> DimensionReport:
+def gldim(R: dg.DGAlgebra, cap: int = 16) -> DimensionReport:
     """Global dimension: the maximum of pd over the simple heart modules.
 
     The report also computes the maximum of injdim over the simples and
@@ -532,8 +515,8 @@ def gldim(R: dg.DGAlgebra, cap: int = 16, minimal: bool = True) -> DimensionRepo
     for i, S in enumerate(sims):
         module = dg.heart_embed(R, S)
         module.label = f"heart(S{i})"
-        rp = pd(module, cap=cap, minimal=minimal)
-        ri = injdim(module, cap=cap, minimal=minimal)
+        rp = pd(module, cap=cap)
+        ri = injdim(module, cap=cap)
         report.children[f"S{i}.pd"] = rp
         report.children[f"S{i}.injdim"] = ri
         pd_vals.append(rp)

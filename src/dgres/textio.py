@@ -102,7 +102,6 @@ class _Block:
 def _lex(text):
     blocks = []
     p_val = None
-    p_line = 0
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,7 +112,7 @@ def _lex(text):
         if head == "p":
             if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1]):
                 raise ParseError(line_no, "expected 'p <prime>'")
-            p_val, p_line = int(toks[1]), line_no
+            p_val = int(toks[1])
         elif head == "algebra":
             current = _Block("algebra", None, line_no)
             blocks.append(current)
@@ -165,7 +164,7 @@ def _lex(text):
             current.act.append((line_no, m.group(1), m.group(2), m.group(3)))
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")
-    return p_val, p_line, blocks
+    return p_val, blocks
 
 
 def _index_names(degrees: dict[int, list[str]], line_no):
@@ -309,7 +308,7 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
 
 
 def parse(text: str, seed: int = 0, default_p: int | None = None) -> InputDocument:
-    p_val, p_line, blocks = _lex(text)
+    p_val, blocks = _lex(text)
     if p_val is None:
         if default_p is None:
             raise ParseError(1, "missing 'p <prime>' line")

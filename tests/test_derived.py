@@ -152,7 +152,7 @@ def test_minimal_resolution_simple_specialization(koszul, nilp2):
         hd = hk.heart_of(R)
         S = hk.simples(hd.h0)[0]
         M = battery.heart_simple(R, 0)
-        res = rv.SppjResolution(M, minimal=True)
+        res = rv.SppjResolution(M)
         t = dv.hom_table_via_sppj(M, S, res, (0, 5))
         for i in range(len(res.terms)):
             s = res.infos[i].edge

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from dgres import battery
+from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
+from dgres import resolve as rv
 
 P = 32003
 
@@ -252,3 +255,440 @@ def test_unsplit_factor_detected():
     assert A.validate() == []
     with pytest.raises(hk.UnsplitFactorError):
         hk.simples(A)
+
+
+# ---------------------------------------------------------------------------
+# restrict, quotient and pull_back against the per-basis loop forms they
+# replaced, kept here as test-only oracles.  Every output must come out
+# bit-identical over the battery, triangular(4), product(matrix(2),
+# triangular(2)) and the Koszul algebras K2 and K3, and their opposites, on
+# the simples, the regular and dual-regular modules and their covers and
+# envelopes, over H0 and over R0.
+
+
+def regular_module_oracle(A):
+    action = np.stack([A.right_mult(la.eye(A.dim)[a]) for a in range(A.dim)])
+    return hk.FDModule(A, A.dim, action, label=A.label or "A")
+
+
+def submodule_oracle(M, vectors, label=""):
+    p = M.algebra.p
+    rows = [la.as_field(v, p) for v in vectors]
+    closed = list(rows)
+    for v in rows:
+        for a in range(M.algebra.dim):
+            closed.append(la.matmul(M.action[a], v, p))
+    sub = la.span(closed if closed else la.zeros(0, M.dim), M.dim, p)
+    incl = sub.basis.T.copy()
+    d = sub.dim
+    action = np.zeros((M.algebra.dim, d, d), dtype=np.int64)
+    for a in range(M.algebra.dim):
+        coords = la.solve_many(incl, la.matmul(M.action[a], incl, p), p)
+        assert coords is not None
+        action[a] = coords
+    return hk.FDModule(M.algebra, d, action, label=label), incl
+
+
+def quotient_module_oracle(M, sub, label=""):
+    p = M.algebra.p
+    proj, sect = la.quotient_basis(sub)
+    q = proj.shape[0]
+    action = np.zeros((M.algebra.dim, q, q), dtype=np.int64)
+    for a in range(M.algebra.dim):
+        action[a] = la.matmul(proj, la.matmul(M.action[a], sect, p), p)
+    return hk.FDModule(M.algebra, q, action, label=label), proj
+
+
+def quotient_algebra_oracle(A, ideal):
+    proj, sect = la.quotient_basis(ideal)
+    q = proj.shape[0]
+    mult = np.zeros((q, q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            mult[a, b] = la.matmul(proj, A.multiply(sect[:, a], sect[:, b]), A.p)
+    for row in ideal.basis:
+        for a in range(A.dim):
+            e = la.eye(A.dim)[a]
+            assert not np.any(la.matmul(proj, A.multiply(row, e), A.p))
+            assert not np.any(la.matmul(proj, A.multiply(e, row), A.p))
+    return mult, la.matmul(proj, A.unit, A.p), proj, sect
+
+
+def module_on_subspace_oracle(A, S, proj, W, label):
+    p = A.p
+    action = np.zeros((A.dim, W.dim, W.dim), dtype=np.int64)
+    for a in range(A.dim):
+        imgs = la.matmul(S.right_mult(la.matmul(proj, la.eye(A.dim)[a], p)), W.basis.T, p)
+        action[a] = la.solve_many(W.basis.T, imgs, p)
+    return hk.FDModule(A, W.dim, action, label=label)
+
+
+def simple_of_block_oracle(S, u, rng):
+    p = S.p
+    B = la.span([S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)], S.dim, p)
+    n = int(round(B.dim ** 0.5))
+    if n == 1:
+        return la.span([u], S.dim, p), n
+    for _ in range(60):
+        b = (rng.integers(0, p, size=B.dim) @ B.basis) % p
+        f = hk._minpoly_in_block(S, u, b)
+        try:
+            roots = hk._split_roots(f, p, rng)
+        except hk.UnsplitFactorError:
+            continue
+        for lam in roots:
+            op = (S.left_mult(b) - lam * la.eye(S.dim)) % p
+            coords = la.solve_many(B.basis.T, la.matmul(op, B.basis.T, p), p)
+            ker = la.kernel(coords, p)
+            if ker.dim == n:
+                return la.span([(v @ B.basis) % p for v in ker.basis], S.dim, p), n
+    raise AssertionError("simple extraction exceeded the retry budget")
+
+
+def simples_and_idempotents_oracle(A):
+    """The simples and the lifted primitive idempotents, by the loop forms."""
+    p = A.p
+    rng = np.random.default_rng(A.seed)
+    S, proj, sect = hk.semisimple_quotient(A)
+    blocks = sorted(hk._block_split(A, S, rng), key=lambda u: tuple(int(x) for x in u))
+    Ws = [simple_of_block_oracle(S, u, rng)[0] for u in blocks]
+    mods = [module_on_subspace_oracle(A, S, proj, W, label=f"S{i}") for i, W in enumerate(Ws)]
+    idems = []
+    for u, W in zip(blocks, Ws):
+        # e in uS acting on W as the projection onto its first basis vector
+        B = la.span([S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)], S.dim, p)
+        target = la.zeros(W.dim, W.dim)
+        target[0, 0] = 1
+        cols = []
+        for r in range(B.dim):
+            imgs = la.matmul(S.right_mult(B.basis[r]), W.basis.T, p)
+            cols.append(la.solve_many(W.basis.T, imgs, p).reshape(-1))
+        sol = la.solve(np.stack(cols, axis=1), target.reshape(-1), p)
+        a = la.matmul(sect, (sol @ B.basis) % p, p)
+        for _ in range(64):
+            sq = A.multiply(a, a)
+            if np.array_equal(sq, a):
+                break
+            a = (3 * sq - 2 * A.multiply(sq, a)) % p
+        idems.append(a)
+    return mods, idems
+
+
+def top_multiplicities_oracle(A, N):
+    top, _ = quotient_module_oracle(N, hk.module_times_ideal(N, hk.radical(A)))
+    return [la.rank(top.action_of(e), A.p) for e in hk._lift_idempotents(A)]
+
+
+def free_rank_oracle(N):
+    A = N.algebra
+    if N.dim == 0:
+        return 0
+    if N.dim % A.dim:
+        return None
+    n = N.dim // A.dim
+    if not hk.is_projective(N):
+        return None
+    m_free = top_multiplicities_oracle(A, regular_module_oracle(A))
+    m_n = top_multiplicities_oracle(A, N)
+    return n if all(mn == n * mf for mn, mf in zip(m_n, m_free)) else None
+
+
+def free_basis_oracle(N):
+    A, p = N.algebra, N.algebra.p
+    n = free_rank_oracle(N)
+    if n is None:
+        return None
+    if n == 0:
+        return []
+    rng = np.random.default_rng(A.seed + 0x5EED)
+    for _ in range(64):
+        gens = [rng.integers(0, p, size=N.dim).astype(np.int64) for _ in range(n)]
+        cols = [la.matmul(N.action[a], g, p) for g in gens for a in range(A.dim)]
+        if la.rank(np.stack(cols, axis=1), p) == N.dim:
+            return gens
+    return None
+
+
+def restrict_to_r0_oracle(hd, N):
+    p = hd.r0.p
+    action = np.zeros((hd.r0.dim, N.dim, N.dim), dtype=np.int64)
+    for a in range(hd.r0.dim):
+        action[a] = N.action_of(la.matmul(hd.project, la.eye(hd.r0.dim)[a], p))
+    return hk.FDModule(hd.r0, N.dim, action, label=N.label)
+
+
+def pi_shriek_oracle(hd, K):
+    p = hd.r0.p
+    if K.dim == 0:
+        return hk.zero_module(hd.h0), la.span(la.zeros(0, 0), 0, p)
+    rows = [K.action_of(b) for b in hd.boundaries.basis]
+    ann = la.kernel(np.concatenate(rows, axis=0), p) if rows else la.span(la.eye(K.dim), K.dim, p)
+    action = np.zeros((hd.h0.dim, ann.dim, ann.dim), dtype=np.int64)
+    for a in range(hd.h0.dim):
+        imgs = la.matmul(K.action_of(hd.lift[:, a]), ann.basis.T, p)
+        action[a] = la.solve_many(ann.basis.T, imgs, p)
+    return hk.FDModule(hd.h0, ann.dim, action, label=f"pi!({K.label})"), ann
+
+
+def heart_embed_oracle(R, N):
+    hd = hk.heart_of(R)
+    if N.dim == 0:
+        return dg.zero_module(R)
+    t = np.zeros((N.dim, R.dim(0), N.dim), dtype=np.int64)
+    for b in range(R.dim(0)):
+        t[:, b, :] = N.action_of(la.matmul(hd.project, la.eye(R.dim(0))[b], R.p)).T
+    return dg.DGModule(R, {0: N.dim}, {}, {(0, 0): t}, label=f"heart({N.label})")
+
+
+def truncate_oracle(M, n, side):
+    p = M.p
+    R = M.algebra
+    Z = la.kernel(M.diff_mat(n), p)
+    if side == "below":
+        incl = {i: la.eye(M.dim(i)) for i in M.degrees() if i < n}
+        dims = {i: M.dim(i) for i in M.degrees() if i < n}
+        if Z.dim:
+            incl[n] = Z.basis.T.copy()
+            dims[n] = Z.dim
+        diff = {}
+        for i in [d for d in dims if d < n]:
+            if i + 1 < n:
+                diff[i] = M.diff_mat(i)
+            elif i + 1 == n and Z.dim:
+                diff[i] = la.solve_many(Z.basis.T, la.matmul(M.diff_mat(i), la.eye(M.dim(i)), p), p)
+        act = {}
+        for i in dims:
+            for j in R.degrees():
+                k = i + j
+                if dims.get(k, 0) == 0:
+                    continue
+                t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
+                for a in range(dims[i]):
+                    for b in range(R.dim(j)):
+                        img = M.action(incl[i][:, a], i, la.eye(R.dim(j))[b], j)
+                        t[a, b] = la.solve(incl[n], img, p) if k == n else img
+                act[(i, j)] = t
+        S = dg.DGModule(R, dims, diff, act, label=f"trunc<= {n}({M.label})")
+        return S, dg.DGMorphism(S, M, incl)
+    proj_n, sect_n = la.quotient_basis(Z)
+    q = proj_n.shape[0]
+    dims = {i: M.dim(i) for i in M.degrees() if i > n}
+    proj = {i: la.eye(M.dim(i)) for i in M.degrees() if i > n}
+    diff = {}
+    if q:
+        dims[n], proj[n] = q, proj_n
+        diff[n] = la.matmul(M.diff_mat(n), sect_n, p)
+    for i in [d for d in dims if d > n]:
+        diff[i] = M.diff_mat(i)
+    act = {}
+    for i in dims:
+        for j in R.degrees():
+            k = i + j
+            if dims.get(k, 0) == 0:
+                continue
+            t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
+            sect_i = sect_n if i == n else la.eye(M.dim(i))
+            for a in range(dims[i]):
+                for b in range(R.dim(j)):
+                    t[a, b] = la.matmul(proj[k], M.action(sect_i[:, a], i, la.eye(R.dim(j))[b], j), p)
+            act[(i, j)] = t
+    Q = dg.DGModule(R, dims, diff, act, label=f"trunc> {n}({M.label})")
+    return Q, dg.DGMorphism(M, Q, proj)
+
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def same_module(M, N):
+    return (M.algebra, M.dim, M.label) == (N.algebra, N.dim, N.label) and same(M.action, N.action)
+
+
+def same_subspace(a, b):
+    return a.pivots == b.pivots and same(a.basis, b.basis)
+
+
+def same_blocks(a, b):
+    return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+
+
+def same_dg(M, N):
+    return (M.dims, M.label) == (N.dims, N.label) and same_blocks(M.diff, N.diff) and same_blocks(M.act, N.act)
+
+
+# ---------------------------------------------------------------------------
+# fixtures for the oracle comparisons
+
+
+@pytest.fixture(scope="module")
+def dg_algebras(algebras, k2):
+    specs = ("triangular(4)", "product(matrix(2),triangular(2))", "koszul(x,y,z; k[x,y,z]/(x^2,y^2,z^2))")
+    algs = list(algebras.values()) + [k2] + [battery.builtin_algebra(s, P) for s in specs]
+    return algs + [R.opposite() for R in algs]
+
+
+@pytest.fixture(scope="module")
+def ordinary(dg_algebras):
+    return [A for R in dg_algebras for A in (hk.heart_of(R).h0, hk.heart_of(R).r0)]
+
+
+def heart_inputs(A):
+    """Simples, regular and dual-regular modules, and their covers and envelopes."""
+    d = hk.dual_module(hk.regular_module(A.opposite()))
+    base = hk.simples(A) + [hk.regular_module(A), hk.FDModule(A, d.dim, d.action, label="D(A)")]
+    return base + [hk.projective_cover(N).module for N in base] + [hk.injective_envelope(N).module for N in base]
+
+
+# ---------------------------------------------------------------------------
+# oracle comparisons
+
+
+def test_regular_module_and_quotient_algebra_match_oracles(dg_algebras, ordinary):
+    for A in ordinary:
+        assert same_module(hk.regular_module(A), regular_module_oracle(A))
+        for ideal in hk.radical_chain(A):
+            Q, proj, sect = hk.quotient_algebra(A, ideal)
+            mult, unit, proj_o, sect_o = quotient_algebra_oracle(A, ideal)
+            assert same(Q.mult, mult) and same(Q.unit, unit) and same(proj, proj_o) and same(sect, sect_o)
+    for R in dg_algebras:
+        hd = hk.heart_of(R)
+        mult, unit, proj, sect = quotient_algebra_oracle(hd.r0, hd.boundaries)
+        assert same(hd.h0.mult, mult) and same(hd.h0.unit, unit) and same(hd.project, proj) and same(hd.lift, sect)
+
+
+def test_simples_and_idempotents_match_oracle(ordinary):
+    for A in ordinary:
+        mods, idems = simples_and_idempotents_oracle(A)
+        sims = hk.simples(A)
+        assert len(sims) == len(mods) and all(same_module(s, m) for s, m in zip(sims, mods))
+        lifted = hk._lift_idempotents(A)
+        assert len(lifted) == len(idems) and all(same(e, f) for e, f in zip(lifted, idems))
+
+
+def test_submodules_quotients_and_freeness_match_oracles(ordinary):
+    rng = np.random.default_rng(7)
+    for A in ordinary:
+        rad = hk.radical(A)
+        for N in heart_inputs(A):
+            assert hk.top_multiplicities(A, N) == top_multiplicities_oracle(A, N)
+            assert hk.free_rank(N) == free_rank_oracle(N)
+            gens, gens_o = hk.free_basis(N), free_basis_oracle(N)
+            assert (gens is None) == (gens_o is None)
+            assert gens is None or (len(gens) == len(gens_o) and all(map(same, gens, gens_o)))
+            if N.dim == 0:
+                continue
+            assert hk.projective_cover(N).multiplicities == top_multiplicities_oracle(A, N)
+            for vectors in (rng.integers(0, P, size=(2, N.dim)), [la.eye(N.dim)[0]]):
+                sub, incl = hk.submodule(N, list(vectors), label="s")
+                sub_o, incl_o = submodule_oracle(N, list(vectors), label="s")
+                assert same_module(sub, sub_o) and same(incl, incl_o)
+                gen = la.span(incl.T, N.dim, P)
+                q, proj = hk.quotient_module(N, gen, label="q")
+                q_o, proj_o = quotient_module_oracle(N, gen, label="q")
+                assert same_module(q, q_o) and same(proj, proj_o)
+            nrad = hk.module_times_ideal(N, rad)
+            sub, incl = hk.subspace_module(N, nrad, label="r")
+            sub_o, incl_o = submodule_oracle(N, list(nrad.basis), label="r")
+            assert same_module(sub, sub_o) and same(incl, incl_o)
+            q, proj = hk.quotient_module(N, nrad, label="t")
+            q_o, proj_o = quotient_module_oracle(N, nrad, label="t")
+            assert same_module(q, q_o) and same(proj, proj_o)
+
+
+def test_restrict_to_r0_and_pi_shriek_match_oracles(dg_algebras):
+    for R in dg_algebras:
+        hd = hk.heart_of(R)
+        for N in heart_inputs(hd.h0):
+            NR = hk.restrict_to_r0(hd, N)
+            assert same_module(NR, restrict_to_r0_oracle(hd, N))
+            E = hk.injective_envelope(NR).module
+            for K in (E, NR):
+                (pi, sub), (pi_o, sub_o) = hk.pi_shriek(hd, K), pi_shriek_oracle(hd, K)
+                assert same_module(pi, pi_o) and same_subspace(sub, sub_o)
+        for K in heart_inputs(hd.r0):
+            (pi, sub), (pi_o, sub_o) = hk.pi_shriek(hd, K), pi_shriek_oracle(hd, K)
+            assert same_module(pi, pi_o) and same_subspace(sub, sub_o)
+
+
+def test_truncate_and_heart_embed_match_oracles(dg_algebras):
+    for R in dg_algebras:
+        hd = hk.heart_of(R)
+        for N in heart_inputs(hd.h0):
+            assert same_dg(dg.heart_embed(R, N), heart_embed_oracle(R, N))
+        mods = [R.regular_module()] + [battery.heart_simple(R, i) for i in range(len(hk.simples(hd.h0)))]
+        if R.total_dim < 64:  # m_of(K3, 1) would take most of the test's time
+            mods.append(battery.m_of(R, 1))
+        for M in mods:
+            for n in range(min(R.degrees()) - 1, 2):
+                for side in ("below", "above"):
+                    (T, f), (T_o, f_o) = dg.truncate(M, n, side), truncate_oracle(M, n, side)
+                    assert same_dg(T, T_o) and same_blocks(f.blocks, f_o.blocks)
+
+
+def test_unstable_subspace_raises():
+    # the span of 1 in k[x]/(x^2) is not stable: 1 . x = x
+    A = dual_numbers()
+    reg = hk.regular_module(A)
+    line = la.span([[1, 0]], 2, P)
+    with pytest.raises(RuntimeError, match="subspace_module"):
+        hk.subspace_module(reg, line)
+    with pytest.raises(RuntimeError, match="quotient_algebra"):
+        hk.quotient_algebra(A, line)
+    # E12 spans a two-sided ideal of T2, E11 only a left one
+    T = upper_triangular()
+    assert hk.quotient_algebra(T, la.span([[0, 1, 0]], 3, P))[0].dim == 2
+    with pytest.raises(RuntimeError, match="quotient_algebra"):
+        hk.quotient_algebra(T, la.span([[1, 0, 0]], 3, P))
+
+
+# ---------------------------------------------------------------------------
+# guards: one projective cover per heart module, no elimination on a
+# subspace's own basis
+
+
+def test_membership_and_sppj_step_build_one_cover_per_heart_module(dg_algebras, monkeypatch):
+    cover = hk.projective_cover
+    seen = {}
+
+    def counted(N):
+        seen.setdefault(id(N), [N, 0])[1] += 1  # holds N, so no id is reused
+        return cover(N)
+
+    monkeypatch.setattr(hk, "projective_cover", counted)
+    calls = 0
+    for R in dg_algebras[:8]:
+        mods = [R.regular_module(), battery.m_of(R, 1)] + [
+            battery.heart_simple(R, i) for i in range(len(hk.simples(hk.heart_of(R).h0)))
+        ]
+        for M in mods:
+            coh = dg.cohomology(M)
+            for step in (rv.membership_P, rv.sppj_step):
+                seen.clear()
+                step(M, coh=coh)
+                calls += len(seen)
+                assert all(n <= 1 for _, n in seen.values()), step.__name__
+    assert calls
+
+
+def test_restrictions_make_no_elimination(dg_algebras, monkeypatch):
+    R = dg_algebras[-1]  # K3^op
+    hd = hk.heart_of(R)
+    reg = hk.regular_module(hd.r0)
+    e = hk._lift_idempotents(hd.r0)[0]
+    K = hk.injective_envelope(hk.restrict_to_r0(hd, hk.simples(hd.h0)[0])).module
+    M = R.regular_module()
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("elimination on a subspace's own basis")
+
+    monkeypatch.setattr(la, "solve", forbidden)
+    monkeypatch.setattr(la, "solve_many", forbidden)
+    hk.submodule(reg, [e])
+    hk.pi_shriek(hd, K)
+    for n in range(min(R.degrees()) - 1, 2):
+        dg.truncate(M, n, "below")
+        dg.truncate(M, n, "above")
+    assert calls == []
