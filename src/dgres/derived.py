@@ -290,6 +290,7 @@ def heart_battery(R: dg.DGAlgebra) -> list[hk.FDModule]:
     hd = hk.heart_of(R)
     out = list(hk.simples(hd.h0))
     reg = hk.regular_module(hd.h0)
+    reg.label = R.label + ".H0"  # hd.h0 may be R0 itself, or shared with R^op
     out.append(reg)
     chain = hk.radical_chain(hd.h0)
     for k in range(1, len(chain) - 1):

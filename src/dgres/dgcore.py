@@ -39,7 +39,7 @@ POS_INF = math.inf
 # core types
 
 
-@dataclass
+@dataclass(eq=False)
 class DGAlgebra:
     """Structure-constant tables of a connective DG-algebra over GF(p).
 
@@ -56,6 +56,7 @@ class DGAlgebra:
     label: str = ""
     seed: int = 0
     _memo: dict = field(default_factory=dict, repr=False)
+    _heart: hk.HeartData | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # exactla's inverses need p prime, the trace-form radical p > dim R^0;
@@ -114,6 +115,7 @@ class DGAlgebra:
                 self.p, dict(self.dims), mult, {k: v.copy() for k, v in self.diff.items()},
                 self.unit.copy(), label=self.label + "^op", seed=self.seed,
             )
+            op._memo["opposite"] = self
             self._memo["opposite"] = op
         return self._memo["opposite"]
 

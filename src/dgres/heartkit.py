@@ -27,6 +27,17 @@ written once below:
              contraction over the algebra axis, b acting as
              sum_a m[a, b] action[a].
 
+The structure theory of an algebra (radical, semisimple quotient, blocks,
+simples, lifted idempotents, PIMs) is cached on the algebra object, so it is
+computed once per object, and algebras with the same tables are made the
+same object where the theory allows it: A^op^op is A and a commutative A is
+its own opposite; the heart of R^op is built from the heart of R when that
+exists (R0 and H0 swapped, the same B0, projection and section); H0 is R0
+itself when B0 = 0.  Projective covers are memoised on the algebra by the
+module's action table, and injective envelopes reach that memo through the
+dual over A^op.  No memo is process-wide: each lives and dies with its
+algebra.
+
 Freeness is read off the projective cover.  Over a split algebra
 top(A_A) = ⊕ S_i^{dim S_i}, so N is free of rank n iff it is projective
 with top multiplicities m_i = n dim S_i, which the cover records.
@@ -67,7 +78,7 @@ class ConfigurationError(ValueError):
 # algebras
 
 
-@dataclass
+@dataclass(eq=False)
 class OrdinaryAlgebra:
     p: int
     dim: int
@@ -96,11 +107,15 @@ class OrdinaryAlgebra:
 
     def opposite(self) -> "OrdinaryAlgebra":
         if "opposite" not in self._cache:
-            op = OrdinaryAlgebra(
-                self.p, self.dim, np.swapaxes(self.mult, 0, 1).copy(), self.unit.copy(),
-                label=self.label + "^op", seed=self.seed,
-            )
-            self._cache["opposite"] = op
+            swapped = np.swapaxes(self.mult, 0, 1)
+            if np.array_equal(self.mult, swapped):
+                self._cache["opposite"] = self
+            else:
+                op = OrdinaryAlgebra(
+                    self.p, self.dim, swapped.copy(), self.unit.copy(), label=self.label + "^op", seed=self.seed
+                )
+                op._cache["opposite"] = self
+                self._cache["opposite"] = op
         return self._cache["opposite"]
 
     def validate(self) -> list[str]:
@@ -139,8 +154,8 @@ def quotient_algebra(A: OrdinaryAlgebra, ideal: Subspace):
 
 
 def _trace_kernel(A: OrdinaryAlgebra) -> Subspace:
-    # G[a, b] = trace of left multiplication by e_a e_b
-    t = np.array([int(np.trace(A.left_mult(la.eye(A.dim)[j]))) % A.p for j in range(A.dim)], dtype=np.int64)
+    # G[a, b] = trace of left multiplication by e_a e_b; t[j] = tr(L_{e_j})
+    t = np.einsum("jbb->j", A.mult) % A.p
     G = np.einsum("abj,j->ab", A.mult, t) % A.p
     return la.kernel(G.T, A.p)
 
@@ -421,12 +436,9 @@ def dual_module(M: FDModule, label="") -> FDModule:
 
 
 def _center(A: OrdinaryAlgebra) -> np.ndarray:
-    rows = []
-    for a in range(A.dim):
-        e = la.eye(A.dim)[a]
-        rows.append((A.left_mult(e) - A.right_mult(e)) % A.p)
-    big = np.concatenate(rows, axis=0)
-    return la.kernel(big, A.p).basis
+    # row (a, c), column b: the e_c coefficient of e_a e_b - e_b e_a
+    comm = np.transpose(A.mult - np.swapaxes(A.mult, 0, 1), (0, 2, 1)).reshape(-1, A.dim)
+    return la.kernel(comm % A.p, A.p).basis
 
 
 def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng):
@@ -513,13 +525,9 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng):
 
 
 def _verify_simple(mod: FDModule) -> bool:
-    p = mod.algebra.p
-    for k in range(mod.dim):
-        v = la.eye(mod.dim)[k]
-        gen = la.span([la.matmul(mod.action[a], v, p) for a in range(mod.algebra.dim)], mod.dim, p)
-        if gen.dim != mod.dim:
-            return False
-    return True
+    # images[k] holds the vectors e_k . a over the basis of the algebra
+    images = np.transpose(mod.action % mod.algebra.p, (2, 0, 1))
+    return all(la.rank(img, mod.algebra.p) == mod.dim for img in images)
 
 
 def simples(A: OrdinaryAlgebra, seed: int | None = None) -> list[FDModule]:
@@ -612,34 +620,45 @@ class CoverData:
 
 
 def projective_cover(N: FDModule) -> CoverData:
-    """P(N) ↠ N with superfluous kernel, P(N) = ⊕ P(S_i)^{m_i}."""
+    """P(N) ↠ N with superfluous kernel, P(N) = ⊕ P(S_i)^{m_i}.
+
+    Memoised on the algebra by N's action tensor; the result is shared and
+    must not be modified.
+    """
     A, p = N.algebra, N.algebra.p
     if N.dim == 0:
         return CoverData(zero_module(A), la.zeros(0, 0), la.span(la.zeros(0, 0), 0, p))
+    key = ("cover", N.dim, N.action.tobytes())
+    if key not in A._cache:
+        A._cache[key] = _build_cover(N)
+    return A._cache[key]
+
+
+def _build_cover(N: FDModule) -> CoverData:
+    """projective_cover(N) without the memo."""
+    A, p = N.algebra, N.algebra.p
     idems = _lift_idempotents(A)
     top, proj_top = top_of(N)
-    pieces = []
-    maps = []
-    mults = []
-    for i, e in enumerate(idems):
-        e_on_top = top.action_of(e)
-        img = la.span(e_on_top.T, top.dim, p)
-        mults.append(img.dim)
-        P, incl = projective_indecomposable(A, i)
-        for row in img.basis:
-            # v in N.e_i lifting the top vector `row`; map e_i a -> v.a
-            lift = la.solve(proj_top, row, p)
-            v = N.act(lift, e)
-            pieces.append(P)
-            cols = [N.act(v, incl[:, t]) for t in range(P.dim)]
-            maps.append(np.stack(cols, axis=1) if cols else la.zeros(N.dim, 0))
-    if not pieces:
+    imgs = [la.span(top.action_of(e).T, top.dim, p) for e in idems]
+    tops = np.concatenate([img.basis for img in imgs])
+    if not len(tops):
         raise RuntimeError("projective_cover: module has empty top")
+    # vectors of N lifting the top vectors, one elimination for all of them
+    lifts = la.solve_many(proj_top, tops.T, p)
+    pieces, maps, start = [], [], 0
+    for i, (e, img) in enumerate(zip(idems, imgs)):
+        P, incl = projective_indecomposable(A, i)
+        # v = lift . e_i in N.e_i, and e_i a -> v.a for the basis e_i a of P
+        vs = la.matmul(N.action_of(e), lifts[:, start : start + img.dim], p)
+        images = la.matmul(pull_back(N.action, incl, p), vs, p)  # (P.dim, N.dim, m_i)
+        maps.append(np.transpose(images, (1, 2, 0)).reshape(N.dim, -1))
+        pieces += [P] * img.dim
+        start += img.dim
     cover, _ = direct_sum(pieces)
     cover_map = np.concatenate(maps, axis=1) % p
     if la.rank(cover_map, p) != N.dim:
         raise RuntimeError("projective_cover: structure map is not surjective")
-    return CoverData(cover, cover_map, la.kernel(cover_map, p), mults)
+    return CoverData(cover, cover_map, la.kernel(cover_map, p), [img.dim for img in imgs])
 
 
 def injective_envelope(N: FDModule) -> CoverData:
@@ -764,25 +783,34 @@ class HeartData:
     boundaries: Subspace  # B0 inside R0
 
 
-def heart_data(p: int, r0_mult, r0_unit, boundary_vectors, label="") -> HeartData:
+def heart_data(p: int, r0_mult, r0_unit, boundary_vectors, label="", seed: int = 0) -> HeartData:
     r0_mult = la.as_field(r0_mult, p)
     n0 = r0_mult.shape[0]
-    r0 = OrdinaryAlgebra(p, n0, r0_mult, la.as_field(r0_unit, p), label=label + ".R0")
     b0 = la.span(boundary_vectors if len(boundary_vectors) else la.zeros(0, n0), n0, p)
+    r0 = OrdinaryAlgebra(p, n0, r0_mult, la.as_field(r0_unit, p), label=label + ".R0", seed=seed)
+    if b0.dim == 0:
+        # H0 = R0: the quotient by the zero ideal would rebuild the same table
+        return HeartData(r0, r0, la.eye(n0), la.eye(n0), b0)
     h0, proj, sect = quotient_algebra(r0, b0)
     h0.label = label + ".H0"
     return HeartData(r0, h0, proj, sect, b0)
 
 
 def heart_of(R) -> HeartData:
-    """Degree-zero data of a DG-algebra; cached on the algebra object."""
-    if getattr(R, "_heart", None) is None:
-        d = R.diff_mat(-1)
-        R._heart = heart_data(
-            R.p, R.mult_tensor(0, 0), R.unit, [d[:, j] for j in range(d.shape[1])], label=R.label
-        )
-        R._heart.h0.seed = getattr(R, "seed", 0)
-        R._heart.r0.seed = getattr(R, "seed", 0)
+    """Degree-zero data of a DG-algebra; cached on the algebra object.
+
+    R^op shares the heart of R when that is already built: R0 and H0 of
+    R^op are those of R with the factors swapped (degree 0 carries no sign)
+    and B0 is the same subspace.
+    """
+    if R._heart is None:
+        op = R._memo.get("opposite")
+        if op is not None and op._heart is not None:
+            h = op._heart
+            R._heart = HeartData(h.r0.opposite(), h.h0.opposite(), h.project, h.lift, h.boundaries)
+        else:
+            d = R.diff_mat(-1)
+            R._heart = heart_data(R.p, R.mult_tensor(0, 0), R.unit, list(d.T), label=R.label, seed=R.seed)
     return R._heart
 
 

@@ -232,8 +232,7 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
             mode = "cover"
         else:
             top, proj_top = hk.top_of(Q)
-            cols = [la.solve(proj_top, la.eye(top.dim)[t], M.p) for t in range(top.dim)]
-            generators = np.stack(cols, axis=1) if cols else la.zeros(Q.dim, 0)
+            generators = la.solve_many(proj_top, la.eye(top.dim), M.p)
             mode = "free-minimal"
     generators = la.as_field(generators, M.p).reshape(Q.dim, -1)
     g_count = generators.shape[1]

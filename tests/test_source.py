@@ -31,3 +31,30 @@ def test_traced_names_exist():
     names += list(tracer.CALLS) + list(tracer.SELF) + list(tracer.STAGE_STEPS)
     missing = [n for n in names if not callable(getattr(getattr(dgres, n.split(".")[0]), n.split(".")[1], None))]
     assert names and missing == []
+
+
+def test_no_process_wide_memo():
+    # every memo sits on an object (an algebra's _cache or _memo), so a
+    # re-parsed input starts cold and nothing outlives the objects it serves;
+    # module-level names may hold constants and compiled patterns only
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else None
+            if value is None:
+                continue
+            if isinstance(value, ast.Call):
+                if ast.unparse(value.func) != "re.compile":
+                    found.append(f"{path.name}:{node.lineno} module-level call")
+            elif any(isinstance(n, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp))
+                     for n in ast.walk(value)):
+                found.append(f"{path.name}:{node.lineno} module-level container")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "functools" in ast.unparse(node):
+                found.append(f"{path.name}:{node.lineno} functools")
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+                if any(isinstance(d, (ast.List, ast.Dict, ast.Set, ast.Call)) for d in defaults):
+                    found.append(f"{path.name}:{node.lineno} mutable default argument")
+    assert found == []
