@@ -80,6 +80,12 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
     Each round kills the top surviving cohomology of the cone by one new
     generator per minimal generator of that cohomology over H0.  coh is
     H(M), with or without the action, when the caller already has it.
+
+    The cone's cohomology is computed on [floor + 1, j] only: j is sup H(M)
+    in the first round, whose cone is M, and afterwards the degree just
+    killed.  Generators adjoined in degree j change the cone in degrees
+    <= j only, so nothing survives above j, and degrees <= floor are never
+    read.
     """
     R = M.algebra
     p = M.p
@@ -91,22 +97,22 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
         return sf
     rounds = 0
     budget = max_rounds if max_rounds is not None else (int(coh0.sup) - floor + 4)
+    j = coh0.sup
     while True:
         F = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
         eps = dg.free_map(F, M, list(sf.images))
         C = dg.cone_module(eps)
-        cohC = dg.cohomology(C)
-        tops = [j for j, d in cohC.dims.items() if d and j > floor]
-        if not tops:
+        cohC = dg.cohomology(C, window=(floor + 1, j))
+        if cohC.is_acyclic():
             sf.free = F
             sf.augmentation = eps
             return sf
-        j = max(tops)
+        j = cohC.sup
         Q = dg.heart_module(C, j, cohC)
         top, proj_top = hk.top_of(Q)
+        lifts = la.solve_many(proj_top, la.eye(top.dim), p)
         for t in range(top.dim):
-            coords = la.solve(proj_top, la.eye(top.dim)[t], p)
-            rep = cohC.rep(j, coords)  # cocycle in C^j = M^j + F^{j+1}
+            rep = cohC.rep(j, lifts[:, t])  # cocycle in C^j = M^j + F^{j+1}
             m_part = rep[: M.dim(j)]
             x_part = rep[M.dim(j) :]
             g_new = len(sf.gen_degrees)
@@ -143,7 +149,7 @@ def rhom(M: dg.DGModule, N: dg.DGModule, window: tuple[int, int],
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     hc = dg.hom_complex(resolution.free, N, window=(a, b))
-    coh = dg.cohomology(hc, with_action=False)
+    coh = dg.cohomology(hc, with_action=False, window=window)
     dims = {n: coh.dim(n) for n in range(a, b + 1) if coh.dim(n)}
     return HomTable(window, dims, "semifree")
 
@@ -162,7 +168,7 @@ def ltensor(M: dg.DGModule, L: dg.DGModule, window: tuple[int, int],
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     tc = dg.tensor_complex(resolution.free, L, window=(a, b))
-    coh = dg.cohomology(tc, with_action=False)
+    coh = dg.cohomology(tc, with_action=False, window=window)
     dims = {n: coh.dim(n) for n in range(a, b + 1) if coh.dim(n)}
     return TorTable(window, dims, "semifree")
 
@@ -314,8 +320,10 @@ def concentration_scan(M: dg.DGModule, battery: list[hk.FDModule] | None = None,
     R = M.algebra
     battery = battery if battery is not None else heart_battery(R)
     b = window[1]
-    if resolution is None and not dg.is_acyclic(M):
-        resolution = semifree(M, 0 - b - 2)
+    if resolution is None:
+        cohM = dg.cohomology(M, with_action=False)
+        if not cohM.is_acyclic():
+            resolution = semifree(M, 0 - b - 2, coh=cohM)
     per = {}
     lo, hi = None, None
     for idx, N in enumerate(battery):

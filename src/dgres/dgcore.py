@@ -356,7 +356,8 @@ class CohomologyData:
     reps[i] has the representatives as columns; project(i, z) gives the
     class coordinates of a cocycle z.  When built from a DG-module together
     with the algebra's own cohomology, action[(i, j)] holds the induced
-    right action of H^j(R) on H^i(M).
+    right action of H^j(R) on H^i(M).  Only the degrees in the inclusive
+    window were computed; dim reads 0 outside it.
     """
 
     p: int
@@ -365,6 +366,7 @@ class CohomologyData:
     cycle_basis: dict[int, la.Subspace]
     class_proj: dict[int, np.ndarray]  # (h_i, dim Z^i): class coords from cycle coords
     action: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    window: tuple = (NEG_INF, POS_INF)
 
     def dim(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -385,6 +387,9 @@ class CohomologyData:
     def project(self, i: int, z) -> np.ndarray:
         """Class coordinates of a cocycle z in degree i; a matrix z holds
         cocycles as columns and gets their coordinates as columns."""
+        lo, hi = self.window
+        if not lo <= i <= hi:
+            raise ValueError(f"degree {i} lies outside the cohomology window [{lo}, {hi}]")
         z = la.as_field(z, self.p)
         Z = self.cycle_basis.get(i)
         if Z is None:
@@ -400,15 +405,25 @@ class CohomologyData:
         return la.matmul(self.reps[i], coords, self.p)
 
 
-def cohomology(M, with_action: bool = True) -> CohomologyData:
+def cohomology(M, with_action: bool = True, window: tuple | None = None) -> CohomologyData:
     """H(M) with canonical representatives; M is a DGModule or a KComplex.
 
     For a DGModule the induced right action of H(R) on H(M) is computed by
-    acting on representatives and projecting.
+    acting on representatives and projecting.  window = (lo, hi) is
+    inclusive, either end may be infinite, and confines cycles, boundaries,
+    representatives, class projections and the action to degrees i with
+    lo <= i <= hi (action[(i, j)] needs i + j inside too).  A degree's data
+    depend only on d_{i-1}, d_i and its own action, so they equal the full
+    computation's; a skipped degree still checks d_i d_{i-1} = 0.
     """
     p = M.p
+    lo, hi = window or (NEG_INF, POS_INF)
     dims, reps, cyc, cproj = {}, {}, {}, {}
     for i in M.degrees():
+        if not lo <= i <= hi:
+            if np.any(la.matmul(M.diff_mat(i), M.diff_mat(i - 1), p)):
+                raise RuntimeError("boundary is not a cycle; differential tables corrupt")
+            continue
         Z = la.kernel(M.diff_mat(i), p)
         B = la.span(M.diff_mat(i - 1).T, M.dim(i), p)
         # coordinates of the boundary space inside the cycle space, read at
@@ -422,7 +437,7 @@ def cohomology(M, with_action: bool = True) -> CohomologyData:
         if proj.shape[0]:
             dims[i], cproj[i] = proj.shape[0], proj
             reps[i] = la.matmul(Z.basis.T, sect, p)  # columns are representatives
-    data = CohomologyData(p, dims, reps, cyc, cproj)
+    data = CohomologyData(p, dims, reps, cyc, cproj, window=(lo, hi))
     if with_action and isinstance(M, DGModule):
         _fill_action(M, data)
     return data

@@ -46,6 +46,24 @@ psi class is decided by k-duality: D(psi(E)) = R (x)_{R0} D(E) is a summand
 of a free R^op-module, and D is an exact duality on finite-dimensional
 DG-modules, so M lies in the class iff D(M) passes the projective criterion
 over R^op.
+
+The cohomology of each new model is computed only where it can be nonzero.
+Along sppj the term P_i = R^n[-s] lies in degrees <= s = sup M_i, and
+sppj_step checks that H^s(f_i) is onto.  In the long exact sequence
+
+    H^{j-1}(P_i) -> H^{j-1}(M_i) -> H^j(M_{i+1}) -> H^j(P_i)
+
+the right end vanishes for j > s and the left map is onto (the check at
+j = s + 1, H^{j-1}(M_i) = 0 above), so H(M_{i+1}) is computed on
+(-inf, s].  Along ifij the term I_i = psi(K)[-t] lies in degrees >= t =
+inf M_i, and ifij_step checks that H^t(f_i) is injective.  In
+
+    H^j(I_i) -> H^j(M_{i+1}) -> H^{j+1}(M_i) -> H^{j+1}(I_i)
+
+the left end vanishes for j < t and the right map is injective (the check
+at j = t - 1, H^{j+1}(M_i) = 0 below), so H(M_{i+1}) is computed on
+[t, +inf).  Either window holds all of the model's cohomology, so its sup,
+inf and acyclicity are exact.
 """
 
 from __future__ import annotations
@@ -327,10 +345,11 @@ def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     """Is M a shift of a psi-type DG-injective, with certificate.
 
     Decided by k-duality as membership_P of D(M) over R^op (module
-    docstring).  `coh` keeps the call shape of membership_P; D(M) has its
-    own cohomology.
+    docstring).  H^i(D M) = D H^{-i}(M), so a given H(M) = `coh` confines
+    the cohomology of D(M) to the window [-sup M, -inf M].
     """
-    ok, dual = membership_P(dg.dualize(M))
+    DM = dg.dualize(M)
+    ok, dual = membership_P(DM, None if coh is None else dg.cohomology(DM, window=(-coh.sup, -coh.inf)))
     return ok, {"inf": -dual["sup"], "dual_membership_P": dual}
 
 
@@ -343,7 +362,9 @@ class Resolution:
 
     Stage i maps between the model M_i and a term T_i by a strict f_i, and
     passes to the next model M_{i+1} with its strict structure map g_{i+1}.
-    cohs[i] is H(M_i) and term_cohs[i] is H(T_i), both with the H(R) action.
+    cohs[i] is H(M_i) and term_cohs[i] is H(T_i), both with the H(R) action;
+    cohs[i] for i >= 1 is computed only on the side of the edge of stage
+    i - 1 where it can be nonzero (module docstring).
     Subclasses fix the step, the edge of cohomology each stage peels off and
     the order in which f and g splice.
     """
@@ -389,7 +410,9 @@ class Resolution:
         self.gs.append(g)
         self.infos.append(info)
         self.models.append(nxt)
-        self.cohs.append(dg.cohomology(nxt))
+        # H(nxt) vanishes beyond the edge just peeled (module docstring)
+        e = info.edge
+        self.cohs.append(dg.cohomology(nxt, window=(dg.NEG_INF, e) if self.edge_name == "sup" else (e, dg.POS_INF)))
         if self.cohs[-1].is_acyclic():
             self.length = i
 

@@ -1,0 +1,187 @@
+"""Cohomology computed only in a window of degrees.
+
+Resolution models, semifree cones and duals get their cohomology on the
+side of an edge that the exact triangle proves; inside the window every
+field must equal the full computation bit for bit, and outside it the full
+computation must show nothing that the window hides.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dgres import battery
+from dgres import derived as dv
+from dgres import dgcore as dg
+from dgres import exactla as la
+from dgres import heartkit as hk
+from dgres import resolve as rv
+
+P = 32003
+K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
+
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def same_arrays(a: dict, b: dict):
+    return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+
+
+def inside(window, i):
+    return window[0] <= i <= window[1]
+
+
+def same_in_window(win, full):
+    """win equals full restricted to win.window, field for field."""
+    w = win.window
+    cut = {k: v for k, v in full.cycle_basis.items() if inside(w, k)}
+    cycles = win.cycle_basis.keys() == cut.keys() and all(
+        (x.ambient_dim, x.pivots) == (y.ambient_dim, y.pivots) and same(x.basis, y.basis)
+        for x, y in ((win.cycle_basis[i], cut[i]) for i in cut)
+    )
+    return (
+        win.p == full.p
+        and win.dims == {i: d for i, d in full.dims.items() if inside(w, i)}
+        and cycles
+        and same_arrays(win.reps, {i: r for i, r in full.reps.items() if inside(w, i)})
+        and same_arrays(win.class_proj, {i: c for i, c in full.class_proj.items() if inside(w, i)})
+        and same_arrays(win.action, {(i, j): a for (i, j), a in full.action.items()
+                                     if inside(w, i) and inside(w, i + j)})
+    )
+
+
+def hidden_degrees(win, full, side=None):
+    """Degrees outside win.window where full has cohomology; side 'above'
+    looks only above the window."""
+    lo, hi = win.window
+    return [i for i, d in full.dims.items() if d and (i > hi or (side is None and i < lo))]
+
+
+def modules(R):
+    sims = len(hk.simples(hk.heart_of(R).h0))
+    return [R.regular_module(), battery.m_of(R, 1)] + [battery.heart_simple(R, i) for i in range(sims)]
+
+
+def grow(res, n, size_cap):
+    """res.ensure(n), stopping early once a model exceeds size_cap dims:
+    over matrix(2) and triangular(4) the free-minimal sppj terms of the heart
+    simples triple in rank, and stage 5 alone would take tens of seconds."""
+    while len(res.terms) < n and res.length is None and res.models[-1].total_dim <= size_cap:
+        res.step()
+
+
+def spy_cohomology(monkeypatch):
+    """Record (module, window, result) of every dg.cohomology call."""
+    cohomology, calls = dg.cohomology, []
+
+    def spy(M, *args, **kwargs):
+        out = cohomology(M, *args, **kwargs)
+        calls.append((M, kwargs.get("window"), out))
+        return out
+
+    monkeypatch.setattr(dg, "cohomology", spy)
+    return calls
+
+
+def test_resolution_models_and_duals_match_the_full_cohomology(algebras, k2, monkeypatch):
+    algs = dict(algebras, triangular4=battery.builtin_algebra("triangular(4)", P), K2=k2)
+    checked = duals = 0
+    for name, R in algs.items():
+        for M in modules(R):
+            for res, n in ((rv.SppjResolution(M), 5), (rv.IfijResolution(M), 4)):
+                grow(res, n, math.inf if R is k2 else 120)
+                assert res.cohs[0].window == (dg.NEG_INF, dg.POS_INF)
+                for i in range(1, len(res.models)):
+                    model, win = res.models[i], res.cohs[i]
+                    where = (name, M.label, res.edge_name, i)
+                    assert win.window == ((dg.NEG_INF, res.infos[i - 1].edge) if res.edge_name == "sup"
+                                          else (res.infos[i - 1].edge, dg.POS_INF))
+                    full = dg.cohomology(model)
+                    assert same_in_window(win, full), where
+                    assert hidden_degrees(win, full) == [], where
+                    checked += 1
+                    if win.is_acyclic():
+                        continue
+                    # membership_I computes H(D M_i) on [-sup M_i, -inf M_i]
+                    calls = spy_cohomology(monkeypatch)
+                    answer = rv.membership_I(model, win)
+                    monkeypatch.undo()
+                    [(D, dual_window, dwin)] = [c for c in calls if c[1] is not None]
+                    assert dual_window == (-win.sup, -win.inf) and answer == rv.membership_I(model), where
+                    dfull = dg.cohomology(D)
+                    assert same_in_window(dwin, dfull), where
+                    assert hidden_degrees(dwin, dfull) == [], where
+                    duals += 1
+    assert (checked, duals) == (130, 87)
+
+
+def test_semifree_cones_and_derived_complexes_match_the_full_cohomology(k2, monkeypatch):
+    S, L = battery.heart_simple(k2, 0), battery.heart_simple(k2.opposite(), 0)
+    top = dg.cohomology(S).sup
+    for run, window, floor in ((lambda: dv.rhom(S, S, (0, 7)), (0, 7), S.lo() - 7 - 2),
+                               (lambda: dv.ltensor(S, L, (-7, 0)), (-7, 0), -7 - L.hi() - 2)):
+        calls = spy_cohomology(monkeypatch)
+        run()
+        monkeypatch.undo()
+        cones = [(X, out) for X, w, out in calls if w is not None and isinstance(X, dg.DGModule)]
+        complexes = [(X, out) for X, w, out in calls if isinstance(X, dg.KComplex)]
+        assert len(cones) >= 5 and len(complexes) == 1
+        # each round's window ends at the degree the round before killed
+        hi = top
+        for X, out in cones:
+            assert out.window == (floor + 1, hi), X.label
+            full = dg.cohomology(X)
+            assert same_in_window(out, full), X.label
+            assert hidden_degrees(out, full, side="above") == [], X.label
+            hi = out.sup
+        X, out = complexes[0]
+        assert out.window == window and same_in_window(out, dg.cohomology(X, with_action=False))
+
+
+def test_rref_calls_of_a_windowed_sppj_resolution(monkeypatch):
+    # widening the windows by one degree adds eliminations; H(M_0) and the
+    # covers of a fresh algebra are counted too, its heart and H(R) are not
+    R = battery.builtin_algebra(K2_SPEC, P)
+    S = battery.heart_simple(R, 0)
+    dg.algebra_cohomology(R)
+    rref, calls = la.rref, []
+
+    def counted(m, p):
+        calls.append(np.shape(m))
+        return rref(m, p)
+
+    monkeypatch.setattr(la, "rref", counted)
+    res = rv.SppjResolution(S)
+    res.ensure(7)
+    assert [s.edge for s in res.infos] == [0, -1, -2, -3, -4, -5, -6]
+    assert len(calls) == 95
+
+
+def test_project_refuses_degrees_outside_the_window(koszul):
+    M = koszul.regular_module()
+    full = dg.cohomology(M)
+    i = full.sup
+    win = dg.cohomology(M, window=(i, i))
+    assert win.window == (i, i) and same_in_window(win, full)
+    z = full.reps[i]
+    assert same(win.project(i, z), full.project(i, z))
+    for j in M.degrees():
+        if j != i:
+            with pytest.raises(ValueError, match=rf"degree {j} lies outside the cohomology window \[{i}, {i}\]"):
+                win.project(j, np.zeros(M.dim(j), dtype=np.int64))
+
+
+def test_skipped_degrees_still_check_the_differential():
+    # k -> k -> k with both maps the identity, so d_1 d_0 != 0; degree 1
+    # raises whether it is computed or skipped
+    one = np.ones((1, 1), dtype=np.int64)
+    broken = dg.KComplex(P, {0: 1, 1: 1, 2: 1}, {0: one, 1: one}, label="broken")
+    for window in (None, (0, 0), (2, 2), (dg.NEG_INF, 0), (2, dg.POS_INF), (1, 1), (3, 2)):
+        with pytest.raises(RuntimeError, match="boundary is not a cycle"):
+            dg.cohomology(broken, window=window)
+    fine = dg.KComplex(P, {0: 1, 1: 1, 2: 1}, {0: one}, label="fine")
+    assert dg.cohomology(fine, window=(1, 2)).dims == {2: 1}
