@@ -72,14 +72,13 @@ class SemifreeResolution:
         return out
 
 
-def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
-             coh: dg.CohomologyData | None = None) -> SemifreeResolution:
+def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None) -> SemifreeResolution:
     """Adjoin free generators top-down until the cone of the augmentation is
     acyclic above the floor.
 
     Each round kills the top surviving cohomology of the cone by one new
-    generator per minimal generator of that cohomology over H0.  coh is
-    H(M), with or without the action, when the caller already has it.
+    generator per minimal generator of that cohomology over H0.  An acyclic
+    M gets the empty free module, whose Hom and tensor complexes vanish.
 
     The cone's cohomology is computed on [floor + 1, j] only: j is sup H(M)
     in the first round, whose cone is M, and afterwards the degree just
@@ -90,7 +89,7 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None,
     R = M.algebra
     p = M.p
     sf = SemifreeResolution(M, floor)
-    coh0 = coh or dg.cohomology(M, with_action=False)
+    coh0 = dg.cohomology(M, with_action=False)
     if coh0.is_acyclic():
         sf.free = dg.free_module(R, [])
         sf.augmentation = dg.DGMorphism(sf.free, M, {})
@@ -140,12 +139,11 @@ def rhom(M: dg.DGModule, N: dg.DGModule, window: tuple[int, int],
          resolution: SemifreeResolution | None = None) -> HomTable:
     """Per-degree dimensions of H^n RHom(M, N) for n in the window."""
     a, b = window
-    cohM = dg.cohomology(M, with_action=False) if N.degrees() else None
-    if cohM is None or cohM.is_acyclic():
+    if not N.degrees():
         return HomTable(window, {}, "semifree")
     floor = N.lo() - b - 2
     if resolution is None:
-        resolution = semifree(M, floor, coh=cohM)
+        resolution = semifree(M, floor)
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     hc = dg.hom_complex(resolution.free, N, window=(a, b))
@@ -159,12 +157,11 @@ def ltensor(M: dg.DGModule, L: dg.DGModule, window: tuple[int, int],
     """Per-degree dimensions of H^n (M ⊗^L L) for n in the window; L is a
     right module over the opposite algebra."""
     a, b = window
-    cohM = dg.cohomology(M, with_action=False) if L.degrees() else None
-    if cohM is None or cohM.is_acyclic():
+    if not L.degrees():
         return TorTable(window, {}, "semifree")
     floor = a - L.hi() - 2
     if resolution is None:
-        resolution = semifree(M, floor, coh=cohM)
+        resolution = semifree(M, floor)
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
     tc = dg.tensor_complex(resolution.free, L, window=(a, b))
@@ -319,11 +316,7 @@ def concentration_scan(M: dg.DGModule, battery: list[hk.FDModule] | None = None,
     modules, as an interval report."""
     R = M.algebra
     battery = battery if battery is not None else heart_battery(R)
-    b = window[1]
-    if resolution is None:
-        cohM = dg.cohomology(M, with_action=False)
-        if not cohM.is_acyclic():
-            resolution = semifree(M, 0 - b - 2, coh=cohM)
+    resolution = resolution or semifree(M, -window[1] - 2)
     per = {}
     lo, hi = None, None
     for idx, N in enumerate(battery):

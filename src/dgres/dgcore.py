@@ -135,9 +135,11 @@ class DGModule:
     _gen_degrees: list[int] | None = field(default=None, repr=False, compare=False)
     _offsets: dict | None = field(default=None, repr=False, compare=False)
     _twists: dict | None = field(default=None, repr=False, compare=False)
-    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K
+    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K; a
+    # term built by psi_sum also keeps its pieces (psi(E_i), m_i) in block order
     _psi_spaces: dict | None = field(default=None, repr=False, compare=False)
     _psi_K: hk.FDModule | None = field(default=None, repr=False, compare=False)
+    _psi_pieces: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -532,12 +534,18 @@ def cone_module(f: DGMorphism) -> DGModule:
     return DGModule(R, dims, diff, act, label=f"cone({f.label or f.source.label + '->' + f.target.label})")
 
 
+def cone_inclusion(f: DGMorphism, C: DGModule) -> DGMorphism:
+    """The strict inclusion of the target N of f into C = cone_module(f)."""
+    M, N = f.source, f.target
+    return DGMorphism(N, C, {i: np.concatenate([la.eye(N.dim(i)), la.zeros(M.dim(i + 1), N.dim(i))]) for i in C.dims})
+
+
 def cone(f: DGMorphism):
     """The mapping cone with the inclusion of the target and the projection
     to M[1]: returns (C, include: N -> C, project: C -> M[1])."""
     M, N = f.source, f.target
     C = cone_module(f)
-    inc = DGMorphism(N, C, {i: np.concatenate([la.eye(N.dim(i)), la.zeros(M.dim(i + 1), N.dim(i))]) for i in C.dims})
+    inc = cone_inclusion(f, C)
     prj = DGMorphism(C, shift(M, 1), {i: np.concatenate([la.zeros(M.dim(i + 1), N.dim(i)), la.eye(M.dim(i + 1))], axis=1) for i in C.dims})
     return C, inc, prj
 
@@ -958,6 +966,96 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
                 maps = np.einsum("akc,bxc->abkx", phis[i], R.mult_tensor(j, -k))
                 act[(i, j)] = spaces[k].coords(maps)
     return DGModule(R, dims, diff, act, label=f"psi({K.label})", _psi_spaces=spaces, _psi_K=K)
+
+
+def psi_piece(R: DGAlgebra, i: int) -> tuple[DGModule, CohomologyData]:
+    """psi(R, E_i) and its cohomology, memoised on R.
+
+    E_i = D(P_i) is the i-th indecomposable injective R0-module, the dual of
+    the i-th indecomposable projective of R0^op that heartkit's covers use.
+    The pair is shared and must not be modified.
+    """
+    key = ("psi_piece", i)
+    if key not in R._memo:
+        P, _ = hk.projective_indecomposable(hk.heart_of(R).r0.opposite(), i)
+        I = psi(R, hk.dual_module(P, label=f"E{i}"))
+        R._memo[key] = (I, cohomology(I))
+    return R._memo[key]
+
+
+def _block_diag(parts) -> np.ndarray:
+    """The block sum of matrices, or of action tensors (x, b, y) along x and y."""
+    rows, cols = sum(a.shape[0] for a in parts), sum(a.shape[-1] for a in parts)
+    out = np.zeros((rows,) + parts[0].shape[1:-1] + (cols,), dtype=np.int64)
+    r = c = 0
+    for a in parts:
+        out[r : r + a.shape[0], ..., c : c + a.shape[-1]] = a
+        r, c = r + a.shape[0], c + a.shape[-1]
+    return out
+
+
+def _stacked_pivots(widths, pivot_lists) -> list[int]:
+    """The pivots of a block-diagonal basis: each block's, past the widths of
+    the blocks before it."""
+    out, off = [], 0
+    for w, piv in zip(widths, pivot_lists):
+        out += [off + c for c in piv]
+        off += w
+    return out
+
+
+def psi_sum(R: DGAlgebra, multiplicities: list[int], n: int) -> tuple[DGModule, CohomologyData]:
+    """psi(R, K)[n] and its cohomology for K = ⊕_i E_i^{m_i}, blocks in
+    index order, assembled from copies of the memoised psi_piece(R, i).
+
+    This is the psi analogue of free_cohomology.  psi is additive, and the
+    R0-linearity relations of a map R^{-i} -> K hold block by block of K.
+    The blocks' rows are contiguous chunks of the row-major vectorisation,
+    so Hom_{R0}(R^{-i}, K) is the sum of the pieces' spaces on those chunks
+    and its RREF basis is their bases concatenated, pivots offset by the
+    chunk.  So the differential, the action and every field of the
+    cohomology are block-diagonal copies of the pieces' ones, as
+    psi(R, K) and cohomology would build them.  The shift reindexes
+    degrees and signs the differential by (-1)^n, which changes neither
+    cycles nor boundaries.  The result is a fresh module that keeps the
+    pieces as (psi(E_i), m_i) pairs in _psi_pieces.
+    """
+    p = R.p
+    pieces = [(psi_piece(R, i), m) for i, m in enumerate(multiplicities) if m]
+    copies = [pc for pc, m in pieces for _ in range(m)]
+    mods, cohs = [X for X, _ in copies], [H for _, H in copies]
+    K, _ = hk.direct_sum([X._psi_K for X in mods])
+    sign = -1 if n % 2 else 1
+    degs = sorted({i for X in mods for i in X.degrees()})
+    dims = {i - n: sum(X.dim(i) for X in mods) for i in degs}
+    diff = {i - n: (sign * _block_diag([X.diff_mat(i) for X in mods])) % p for i in degs if i + 1 in degs}
+    act = {(i - n, j): _block_diag([X.act_tensor(i, j) for X in mods]) for i in degs for j in R.degrees() if i + j in degs}
+    spaces = {}
+    for i, sp in mods[0]._psi_spaces.items():
+        sps = [X._psi_spaces[i] for X in mods]
+        pivots = _stacked_pivots([X._psi_K.dim * sp.cols for X in mods], [s.pivots for s in sps])
+        spaces[i] = la.MapSpace(p, K.dim, sp.cols, _block_diag([s.basis for s in sps]), pivots)
+    I = DGModule(R, dims, diff, act, label=f"psi(K)[{n}]", _psi_spaces=spaces, _psi_K=K,
+                 _psi_pieces=[(X, m) for (X, _), m in pieces])
+    coh = CohomologyData(p, {}, {}, {}, {})
+    empty = la.Subspace(p, 0, la.zeros(0, 0), [])
+    for i in degs:
+        Zs = [H.cycle_basis.get(i, empty) for H in cohs]
+        pivots = _stacked_pivots([X.dim(i) for X in mods], [Z.pivots for Z in Zs])
+        coh.cycle_basis[i - n] = la.Subspace(p, dims[i - n], _block_diag([Z.basis for Z in Zs]), pivots)
+        if h := sum(H.dim(i) for H in cohs):
+            coh.dims[i - n] = h
+            coh.reps[i - n] = _block_diag([H.reps.get(i, la.zeros(X.dim(i), 0)) for X, H in copies])
+            coh.class_proj[i - n] = _block_diag([H.class_proj.get(i, la.zeros(0, Z.dim)) for H, Z in zip(cohs, Zs)])
+    for i in coh.dims:
+        for j, hj in algebra_cohomology(R).dims.items():
+            if coh.dim(i + j):
+                coh.action[(i, j)] = _block_diag([
+                    H.action[(i + n, j)] if (i + n, j) in H.action
+                    else np.zeros((H.dim(i + n), hj, H.dim(i + j + n)), dtype=np.int64)
+                    for H in cohs
+                ])
+    return I, coh
 
 
 def heart_embed(R: DGAlgebra, N: hk.FDModule) -> DGModule:

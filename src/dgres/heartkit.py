@@ -614,8 +614,8 @@ class CoverData:
     module: FDModule
     map: np.ndarray  # cover -> N for projective covers, N -> envelope for injective
     kernel: Subspace | None
-    # top multiplicities m_i of N, P(N) = ⊕ P(S_i)^{m_i}; projective covers
-    # of nonzero modules only
+    # block multiplicities m_i, nonzero N only: P(N) = ⊕ P_i^{m_i} for a cover,
+    # E(N) = ⊕ D(P_i)^{m_i} over the P_i of A^op for an envelope
     multiplicities: list[int] | None = None
 
 
@@ -662,7 +662,11 @@ def _build_cover(N: FDModule) -> CoverData:
 
 
 def injective_envelope(N: FDModule) -> CoverData:
-    """N ↪ E(N), constructed as the dual of the projective cover of D(N)."""
+    """N ↪ E(N), constructed as the dual of the projective cover of D(N).
+
+    E(N) is the block sum ⊕ D(P_i)^{m_i} over the indecomposable
+    projectives P_i of A^op, in index order, with the cover's multiplicities.
+    """
     A = N.algebra
     dn = dual_module(N)
     cd = projective_cover(dn)
@@ -671,7 +675,7 @@ def injective_envelope(N: FDModule) -> CoverData:
     emb = cd.map.T.copy() % A.p  # D of the cover map, via the evaluation iso
     if la.rank(emb, A.p) != N.dim:
         raise RuntimeError("injective_envelope: structure map is not injective")
-    return CoverData(env, emb, None)
+    return CoverData(env, emb, None, cd.multiplicities)
 
 
 def is_projective(N: FDModule) -> bool:

@@ -47,6 +47,19 @@ of a free R^op-module, and D is an exact duality on finite-dimensional
 DG-modules, so M lies in the class iff D(M) passes the projective criterion
 over R^op.
 
+The terms are block sums of memoised pieces.  The R0-envelope is K =
+⊕ E_i^{m_i} over the indecomposable R0-injectives E_i, and psi is
+additive, so dg.psi_sum copies psi(E_i) and H(psi E_i), built once per
+algebra by dg.psi_piece, into the block-diagonal term and its cohomology,
+bit for bit what psi(K) and cohomology would build.  The strict-map solve
+decouples the same way without changing its answer.  Every linearity
+row and every prescribed-value row involves the unknowns phi|E of one
+block only, so the RREF of the whole system is the union of the blocks'
+RREFs, its pivots are the union of theirs, and the particular solution
+(free unknowns zero) is the blocks' solutions stacked.  Copies of one E_i
+share their rows, so each piece type is one solve with a right-hand side
+per copy.
+
 The cohomology of each new model is computed only where it can be nonzero.
 Along sppj the term P_i = R^n[-s] lies in degrees <= s = sup M_i, and
 sppj_step checks that H^s(f_i) is onto.  In the long exact sequence
@@ -272,25 +285,34 @@ def _strict_map_to_psi(M, I, t, cohM, values):
     z_q are the representatives of H^t(M) in cohM and values[:, q] lies in K.
     f is the adjoint f_j(m)(s) = phi(m s) of the R0-linear phi : M^t -> K
     that vanishes on B^t(M) and sends z_q to values[:, q]; such a phi exists
-    because K is injective over R0 (module docstring).
+    because K is injective over R0 (module docstring).  phi is solved block
+    by block of K = ⊕ E_i^{m_i}, one system per piece E_i whose right-hand
+    sides are its copies' prescribed values.
     """
     p = M.p
-    K, spaces = I._psi_K, I._psi_spaces
-    n, k = M.dim(t), K.dim
-    # unknowns: phi as a (k, n) matrix, row-major.  phi(m . e) = phi(m) . e
-    # for e in R0; against a zero target action the rows -phi(c) prescribe
-    # phi(c) on the columns c of d_{t-1} (zero) and of the reps (values).
-    rows, right = la.relations(np.swapaxes(K.action, 0, 1), M.act_tensor(t, 0), p)
-    rows += right
-    del right
+    n, nb = M.dim(t), M.dim(t - 1)
     fixed = np.concatenate([M.diff_mat(t - 1), cohM.reps[t]], axis=1)
-    rows = np.concatenate([la.relations(np.zeros((k, 1, 0)), fixed.T[:, None, :], p)[1], rows[rows.any(axis=1)]])
-    rhs = np.zeros(rows.shape[0], dtype=np.int64)
-    rhs[: k * fixed.shape[1]] = -np.concatenate([la.zeros(k, M.dim(t - 1)), values], axis=1).reshape(-1)
-    sol = la.solve(rows, rhs, p)
-    if sol is None:
-        raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
-    phi = sol.reshape(k, n)
+    phis, r = [], 0
+    for piece, copies in I._psi_pieces:
+        E = piece._psi_K
+        k = E.dim
+        # unknowns: phi on E as a (k, n) matrix, row-major.  phi(m . e) =
+        # phi(m) . e for e in R0; against a zero target action the rows
+        # -phi(c) prescribe phi(c) on the columns c of d_{t-1} (zero) and of
+        # the reps (values), one right-hand side per copy of E
+        rows, right = la.relations(np.swapaxes(E.action, 0, 1), M.act_tensor(t, 0), p)
+        rows += right
+        del right
+        rows = np.concatenate([la.relations(np.zeros((k, 1, 0)), fixed.T[:, None, :], p)[1], rows[rows.any(axis=1)]])
+        vals, r = values[r : r + copies * k].reshape(copies, k, -1), r + copies * k
+        rhs = la.zeros(rows.shape[0], copies)
+        rhs[: k * fixed.shape[1]] = -np.concatenate([np.zeros((copies, k, nb), dtype=np.int64), vals], axis=2).reshape(copies, -1).T
+        sol = la.solve_many(rows, rhs, p)
+        if sol is None:
+            raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
+        phis.append(sol.T.reshape(copies * k, n))
+    phi = np.concatenate(phis)
+    spaces = I._psi_spaces
     blocks = {}
     for j in M.degrees():
         sp = spaces.get(j - t)
@@ -303,17 +325,17 @@ def _strict_map_to_psi(M, I, t, cohM, values):
 
 
 def _psi_target(R, J: hk.FDModule, t: int):
-    """I = psi(R, K)[-t] for the R0-envelope K = E_{R0}(J), and the hull J -> K.
+    """I = psi(R, K)[-t] and H(I) for the R0-envelope K = E_{R0}(J), and the hull J -> K.
 
-    Returns (I, hull).  I keeps psi's component spaces and K for
+    Returns (I, H(I), hull).  K = ⊕ E_i^{m_i} with the envelope's
+    multiplicities, so I and H(I) are block copies of memoised pieces
+    (dg.psi_sum), and I keeps K, psi's component spaces and the pieces for
     _strict_map_to_psi.
     """
     hull = hk.injective_envelope(hk.restrict_to_r0(hk.heart_of(R), J))
-    I0 = dg.psi(R, hull.module)
-    I = dg.shift(I0, -t)
+    I, cohI = dg.psi_sum(R, hull.multiplicities, -t)
     I.label = f"psi(E({J.label}))[{-t}]"
-    I._psi_spaces, I._psi_K = I0._psi_spaces, I0._psi_K
-    return I, hull
+    return I, cohI, hull
 
 
 def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
@@ -330,15 +352,14 @@ def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     t = coh.inf
     Q = dg.heart_module(M, t, coh)
     env = hk.injective_envelope(Q)
-    I, hull = _psi_target(R, env.module, t)
+    I, cohI, hull = _psi_target(R, env.module, t)
     f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, env.map, M.p))
-    cohI = dg.cohomology(I)
     hmap = dg.cohomology_map(f, t, coh, cohI)
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
-    nxt, inc, _ = dg.cone(f)
+    nxt = dg.cone_module(f)
     info = StageInfo(-1, t, I.total_dim, -t, "psi", "envelope", dict(M.dims))
-    return I, f, nxt, inc, info, cohI
+    return I, f, nxt, dg.cone_inclusion(f, nxt), info, cohI
 
 
 def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
