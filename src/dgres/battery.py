@@ -396,6 +396,8 @@ def builtin_module(R: dg.DGAlgebra, spec: str) -> dg.DGModule:
     if name in ("R", "regular"):
         return regular(R)
     if name == "M_of":
+        if args is None:
+            raise ValueError("M_of needs a shift, as in M_of(3)")
         return m_of(R, int(args))
     if name == "free":
         parts = _split_args(args or "1")

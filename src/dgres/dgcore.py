@@ -19,6 +19,15 @@ the nose:
   dual        d(f)        = -(-1)^{|f|} f d_M,  (f . a)(m) = (-1)^{|a||f|} f(m a)
 
 Any globally consistent alternative changes no dimension output.
+
+Direct sums have one layout, built by block_sum.  The block sum of parts
+(X_g, n_g) is the sum of the X_g[n_g]: degree i has the bases of the
+X_g^{i+n_g}, grouped by part in list order; d and the action are
+block-diagonal, and part g's block of d is signed (-1)^{n_g} as in shift.
+diff[i] is stored iff i and i + 1 are degrees of the sum, act[(i, j)] iff
+i and i + j are.  free_module (the R[-s_g], plus twists), cone_module
+(N and M[1], plus f) and psi_sum (copies of psi pieces) are block sums, and
+block_sum_cohomology assembles H of one whose d couples no two parts.
 """
 
 from __future__ import annotations
@@ -509,29 +518,16 @@ def shift(M: DGModule, n: int) -> DGModule:
 
 
 def cone_module(f: DGMorphism) -> DGModule:
-    """The mapping cone C^i = N^i + M^{i+1}, d(n, m) = (d n + f m, -d m),
-    with the componentwise action."""
-    M, N, p = f.source, f.target, f.p
-    R = M.algebra
-    degs = sorted(set(N.degrees()) | {i - 1 for i in M.degrees()})
-    dims = {i: N.dim(i) + M.dim(i + 1) for i in degs}
-    diff, act = {}, {}
-    for i in degs:
-        rN, rM = N.dim(i + 1), M.dim(i + 2)
-        cN, cM = N.dim(i), M.dim(i + 1)
-        d = la.zeros(rN + rM, cN + cM)
-        d[:rN, :cN] = N.diff_mat(i)
-        d[:rN, cN:] = f.block(i + 1)
-        d[rN:, cN:] = (-M.diff_mat(i + 1)) % p
-        diff[i] = d
-        for j in R.degrees():
-            tN = N.act_tensor(i, j)
-            tM = M.act_tensor(i + 1, j)
-            t = np.zeros((cN + cM, R.dim(j), N.dim(i + j) + M.dim(i + j + 1)), dtype=np.int64)
-            t[:cN, :, : N.dim(i + j)] = tN
-            t[cN:, :, N.dim(i + j):] = tM
-            act[(i, j)] = t
-    return DGModule(R, dims, diff, act, label=f"cone({f.label or f.source.label + '->' + f.target.label})")
+    """The mapping cone C = N + M[1], a block sum (module docstring), with
+    d(n, m) = (d n + f m, -d m): f's blocks are added into d."""
+    M, N = f.source, f.target
+    C, offs = block_sum(M.algebra, [(N, 0), (M, 1)])
+    for i, b in f.blocks.items():
+        if b.size:
+            r, c = offs[(i, 0)], offs[(i - 1, 1)]
+            C.diff[i - 1][r : r + b.shape[0], c : c + b.shape[1]] = b
+    C.label = f"cone({f.label or f.source.label + '->' + f.target.label})"
+    return C
 
 
 def cone_inclusion(f: DGMorphism, C: DGModule) -> DGMorphism:
@@ -627,105 +623,131 @@ def is_acyclic(M: DGModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# free modules
+# block sums and free modules
+
+
+def block_sum(R: DGAlgebra, parts: list) -> tuple[DGModule, dict]:
+    """The block sum of X_g[n_g] over parts (X_g, n_g), and its offsets.
+
+    The layout is the module docstring's; offsets[(i, g)] is the first
+    basis index of part g in degree i, for every degree i of the sum.  The
+    arrays are fresh and no part is modified, so parts may be shared ones
+    such as R.regular_module() or a psi_piece.  Each distinct (X, n) is
+    shifted once; only the entries a part has are written.
+    """
+    shifted = {}
+    for X, n in parts:
+        if (id(X), n) not in shifted:
+            shifted[(id(X), n)] = shift(X, n)
+    mods = [shifted[(id(X), n)] for X, n in parts]
+    offsets, dims = {}, {}
+    for i in sorted({i for Y in mods for i in Y.degrees()}):
+        dims[i] = 0
+        for g, Y in enumerate(mods):
+            offsets[(i, g)], dims[i] = dims[i], dims[i] + Y.dim(i)
+    diff = {i: la.zeros(dims[i + 1], dims[i]) for i in dims if i + 1 in dims}
+    act = {(i, j): np.zeros((dims[i], R.dim(j), dims[i + j]), dtype=np.int64)
+           for i in dims for j in R.degrees() if i + j in dims}
+    for g, Y in enumerate(mods):
+        for i, m in Y.diff.items():
+            if m.size:
+                r, c = offsets[(i + 1, g)], offsets[(i, g)]
+                diff[i][r : r + m.shape[0], c : c + m.shape[1]] = m
+        for (i, j), t in Y.act.items():
+            if t.size:
+                a, c = offsets[(i, g)], offsets[(i + j, g)]
+                act[(i, j)][a : a + t.shape[0], :, c : c + t.shape[2]] = t
+    return DGModule(R, dims, diff, act), offsets
+
+
+def block_sum_cohomology(R: DGAlgebra, parts: list) -> CohomologyData:
+    """H of a block sum of X_g[n_g] whose differential couples no two parts,
+    from parts (H(X_g), n_g), each computed over all degrees with the action.
+
+    A cycle or a boundary of such a sum is a sum of the parts' ones, and
+    the sign (-1)^{n_g} on d changes neither.  The canonical basis of a
+    block sum is the block sum of the canonical bases, so every field of
+    H is block-diagonal copies of the parts' fields in degree i + n_g:
+    cycle bases with each part's pivots past the parts before it, reps,
+    class_proj and the H(R) action class by class.  This is what
+    cohomology() computes on the sum itself.
+    """
+    p = R.p
+    empty = la.Subspace(p, 0, la.zeros(0, 0), [])
+    coh = CohomologyData(p, {}, {}, {}, {})
+    for i in sorted({i - n for H, n in parts for i in H.cycle_basis}):
+        Zs = [H.cycle_basis.get(i + n, empty) for H, n in parts]
+        pivots = _stacked_pivots([Z.ambient_dim for Z in Zs], [Z.pivots for Z in Zs])
+        coh.cycle_basis[i] = la.Subspace(p, sum(Z.ambient_dim for Z in Zs), _block_diag([Z.basis for Z in Zs]), pivots)
+        if h := sum(H.dim(i + n) for H, n in parts):
+            coh.dims[i] = h
+            coh.reps[i] = _block_diag([H.reps.get(i + n, la.zeros(Z.ambient_dim, 0)) for (H, n), Z in zip(parts, Zs)])
+            coh.class_proj[i] = _block_diag([H.class_proj.get(i + n, la.zeros(0, Z.dim)) for (H, n), Z in zip(parts, Zs)])
+    for i in coh.dims:
+        for j, hj in algebra_cohomology(R).dims.items():
+            if coh.dim(i + j):
+                coh.action[(i, j)] = _block_diag([
+                    H.action[(i + n, j)] if (i + n, j) in H.action
+                    else np.zeros((H.dim(i + n), hj, H.dim(i + j + n)), dtype=np.int64)
+                    for H, n in parts
+                ])
+    return coh
+
+
+def _block_diag(parts) -> np.ndarray:
+    """The block sum of matrices, or of action tensors (x, b, y) along x and y."""
+    rows, cols = sum(a.shape[0] for a in parts), sum(a.shape[-1] for a in parts)
+    out = np.zeros((rows,) + parts[0].shape[1:-1] + (cols,), dtype=np.int64)
+    r = c = 0
+    for a in parts:
+        out[r : r + a.shape[0], ..., c : c + a.shape[-1]] = a
+        r, c = r + a.shape[0], c + a.shape[-1]
+    return out
+
+
+def _stacked_pivots(widths, pivot_lists) -> list[int]:
+    """The pivots of a block-diagonal basis: each block's, past the widths of
+    the blocks before it."""
+    out, off = [], 0
+    for w, piv in zip(widths, pivot_lists):
+        out += [off + c for c in piv]
+        off += w
+    return out
 
 
 def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None, label="") -> DGModule:
-    """⊕_g R[-s_g] for generator degrees s_g, with optional lower-triangular
-    twists: twists[(h, g)] is an R-vector in degree s_g + 1 - s_h giving the
-    e_h-coefficient of d(e_g).  Without twists this is a plain free module.
-
-    Basis of degree i: pairs (g, b) with b running over R^{i - s_g}, grouped
-    by generator in list order.
+    """The block sum of R[-s_g] over generator degrees s_g (module
+    docstring), with optional lower-triangular twists: twists[(h, g)] is an
+    R-vector in degree s_g + 1 - s_h giving the e_h-coefficient of d(e_g),
+    added into d.  Without twists this is a plain free module.
     """
     p = R.p
     twists = twists or {}
-    degs = sorted({s + d for s in gen_degrees for d in R.degrees()})
-    offs = {}
-    dims = {}
-    for i in degs:
-        off = 0
-        for g, s in enumerate(gen_degrees):
-            offs[(i, g)] = off
-            off += R.dim(i - s)
-        dims[i] = off
-    dims = {i: n for i, n in dims.items() if n}
-    diff = {}
-    for i in degs:
-        if dims.get(i, 0) == 0 or dims.get(i + 1, 0) == 0:
-            continue
-        d = la.zeros(dims[i + 1], dims[i])
-        for g, s in enumerate(gen_degrees):
-            nb = R.dim(i - s)
-            if nb == 0:
-                continue
-            c0 = offs[(i, g)]
-            sign = -1 if s % 2 else 1
-            blk = (sign * R.diff_mat(i - s)) % p
-            if i + 1 - s <= 0 and R.dim(i + 1 - s):
-                d[offs[(i + 1, g)] : offs[(i + 1, g)] + R.dim(i + 1 - s), c0 : c0 + nb] = blk
-            for h, sh in enumerate(gen_degrees):
-                z = twists.get((h, g))
-                if z is None:
-                    continue
-                # d(e_g . b) includes e_h . (z b)
-                zdeg = s + 1 - sh
-                mat = R.left_mult_matrix(z, zdeg, i - s)
-                rows = R.dim(i + 1 - sh)
-                if rows:
-                    r0 = offs[(i + 1, h)]
-                    d[r0 : r0 + rows, c0 : c0 + nb] = (d[r0 : r0 + rows, c0 : c0 + nb] + mat) % p
-        diff[i] = d
-    act = {}
-    for i in degs:
-        if dims.get(i, 0) == 0:
-            continue
-        for j in R.degrees():
-            k = i + j
-            if dims.get(k, 0) == 0:
-                continue
-            t = np.zeros((dims[i], R.dim(j), dims[k]), dtype=np.int64)
-            for g, s in enumerate(gen_degrees):
-                nb, nk = R.dim(i - s), R.dim(k - s)
-                if nb == 0 or nk == 0:
-                    continue
-                t[offs[(i, g)] : offs[(i, g)] + nb, :, offs[(k, g)] : offs[(k, g)] + nk] = R.mult_tensor(i - s, j)
-            act[(i, j)] = t
-    return DGModule(R, dims, diff, act, label=label or f"free{gen_degrees}",
-                    _gen_degrees=gen_degrees, _offsets=offs, _twists=twists)
+    F, offs = block_sum(R, [(R.regular_module(), -s) for s in gen_degrees])
+    for (h, g), z in twists.items():
+        s, zdeg = gen_degrees[g], gen_degrees[g] + 1 - gen_degrees[h]
+        for k in R.degrees():
+            # d(e_g . b) includes e_h . (z b) for b in R^k, in degree s + k
+            rows = R.dim(zdeg + k)
+            if rows:
+                r0, c0 = offs[(s + k + 1, h)], offs[(s + k, g)]
+                blk = F.diff[s + k][r0 : r0 + rows, c0 : c0 + R.dim(k)]
+                blk[...] = (blk + R.left_mult_matrix(z, zdeg, k)) % p
+    F.label = label or f"free{gen_degrees}"
+    F._gen_degrees, F._offsets, F._twists = gen_degrees, offs, twists
+    return F
 
 
 def free_cohomology(P: DGModule) -> CohomologyData:
-    """H(P) for an untwisted free P = R^n[-s], copied from H(R).
-
-    Each degree of P is n blocks R^{i-s}, one per generator, and d_P is
-    block-diagonal with blocks (-1)^s d_R.  The sign changes neither cycles
-    nor boundaries, and the canonical basis of a block sum is the block sum
-    of canonical bases, so every field of cohomology(P) is n block-diagonal
-    copies of the same field of algebra_cohomology(R) in degree i - s:
-    cycle bases and their pivots, class_proj and reps by np.kron with the
-    identity, and the H(R) action class by class within each block.
-    """
+    """H(P) for an untwisted free P = R^n[-s], a block sum (module
+    docstring): block_sum_cohomology of n copies of H(R) shifted by -s."""
     if P._gen_degrees is None or P._twists:
         raise ValueError(f"free_cohomology: {P.label} is not an untwisted free module")
-    n, degs = len(P._gen_degrees), set(P._gen_degrees)
+    degs = set(P._gen_degrees)
     if len(degs) > 1:
         raise ValueError(f"free_cohomology: {P.label} has generators in degrees {sorted(degs)}")
-    data = CohomologyData(P.p, {}, {}, {}, {})
-    if n == 0:
-        return data
-    s, H, one = degs.pop(), algebra_cohomology(P.algebra), la.eye(n)
-    for j, Z in H.cycle_basis.items():
-        pivots = [g * Z.ambient_dim + c for g in range(n) for c in Z.pivots]
-        data.cycle_basis[j + s] = la.Subspace(P.p, n * Z.ambient_dim, np.kron(one, Z.basis), pivots)
-    for j, h in H.dims.items():
-        data.dims[j + s] = n * h
-        data.reps[j + s] = np.kron(one, H.reps[j])
-        data.class_proj[j + s] = np.kron(one, H.class_proj[j])
-    for (i, j), t in H.action.items():
-        a, b, c = t.shape
-        data.action[(i + s, j)] = np.einsum("gh,abc->gabhc", one, t).reshape(n * a, b, n * c)
-    return data
+    H = algebra_cohomology(P.algebra)
+    return block_sum_cohomology(P.algebra, [(H, -s) for s in P._gen_degrees])
 
 
 def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
@@ -893,33 +915,16 @@ def tensor_complex(M: DGModule, L: DGModule, window: tuple[int, int] | None = No
     for n in sorted(projs):
         if n + 1 not in projs or dims.get(n, 0) == 0 or dims.get(n + 1, 0) == 0:
             continue
-        # big differential then conjugate by section/projection
-        cols = []
-        for col in range(dims[n]):
-            vec = sects[n][:, col]
-            img = np.zeros(sum(a * b for _, a, b in layouts[n + 1]), dtype=np.int64)
-            offs_n1 = {}
-            off = 0
-            for i, a, b in layouts[n + 1]:
-                offs_n1[i] = off
-                off += a * b
-            off = 0
-            for i, a, b in layouts[n]:
-                blk = vec[off : off + a * b].reshape(a, b)
-                off += a * b
-                # d_M ⊗ 1
-                dm = la.matmul(M.diff_mat(i), blk, p)
-                if (i + 1) in offs_n1 and L.dim(n - i):
-                    o = offs_n1[i + 1]
-                    img[o : o + dm.size] = (img[o : o + dm.size] + dm.reshape(-1)) % p
-                # (-1)^i 1 ⊗ d_L
-                dl = la.matmul(blk, L.diff_mat(n - i).T, p)
+        # d(m ⊗ l) = d m ⊗ l + (-1)^i m ⊗ d l on every section column at once
+        x = _unflatten(sects[n].T, layouts[n])  # blocks i -> stacks (cols, a, b)
+        img = []
+        for i, a, b in layouts[n + 1]:
+            d = la.matmul(M.diff_mat(i - 1), x[i - 1], p) if i - 1 in x else np.zeros((dims[n], a, b), dtype=np.int64)
+            if i in x:
                 sign = -1 if i % 2 else 1
-                if i in offs_n1 and L.dim(n + 1 - i):
-                    o = offs_n1[i]
-                    img[o : o + dl.size] = (img[o : o + dl.size] + sign * dl.reshape(-1)) % p
-            cols.append(la.matmul(projs[n + 1], img, p))
-        diff[n] = np.stack(cols, axis=1)
+                d = (d + sign * la.matmul(x[i], L.diff_mat(n - i).T, p)) % p
+            img.append(d.reshape(dims[n], a * b))
+        diff[n] = la.matmul(projs[n + 1], np.concatenate(img, axis=1).T, p)
     return KComplex(p, dims, diff, label=f"({M.label})⊗({L.label})")
 
 
@@ -983,79 +988,33 @@ def psi_piece(R: DGAlgebra, i: int) -> tuple[DGModule, CohomologyData]:
     return R._memo[key]
 
 
-def _block_diag(parts) -> np.ndarray:
-    """The block sum of matrices, or of action tensors (x, b, y) along x and y."""
-    rows, cols = sum(a.shape[0] for a in parts), sum(a.shape[-1] for a in parts)
-    out = np.zeros((rows,) + parts[0].shape[1:-1] + (cols,), dtype=np.int64)
-    r = c = 0
-    for a in parts:
-        out[r : r + a.shape[0], ..., c : c + a.shape[-1]] = a
-        r, c = r + a.shape[0], c + a.shape[-1]
-    return out
-
-
-def _stacked_pivots(widths, pivot_lists) -> list[int]:
-    """The pivots of a block-diagonal basis: each block's, past the widths of
-    the blocks before it."""
-    out, off = [], 0
-    for w, piv in zip(widths, pivot_lists):
-        out += [off + c for c in piv]
-        off += w
-    return out
-
-
 def psi_sum(R: DGAlgebra, multiplicities: list[int], n: int) -> tuple[DGModule, CohomologyData]:
     """psi(R, K)[n] and its cohomology for K = ⊕_i E_i^{m_i}, blocks in
-    index order, assembled from copies of the memoised psi_piece(R, i).
+    index order: the block sum of copies of the memoised psi_piece(R, i)
+    (module docstring) and block_sum_cohomology of their H.
 
-    This is the psi analogue of free_cohomology.  psi is additive, and the
-    R0-linearity relations of a map R^{-i} -> K hold block by block of K.
-    The blocks' rows are contiguous chunks of the row-major vectorisation,
-    so Hom_{R0}(R^{-i}, K) is the sum of the pieces' spaces on those chunks
-    and its RREF basis is their bases concatenated, pivots offset by the
-    chunk.  So the differential, the action and every field of the
-    cohomology are block-diagonal copies of the pieces' ones, as
-    psi(R, K) and cohomology would build them.  The shift reindexes
-    degrees and signs the differential by (-1)^n, which changes neither
-    cycles nor boundaries.  The result is a fresh module that keeps the
-    pieces as (psi(E_i), m_i) pairs in _psi_pieces.
+    psi is additive, and the R0-linearity relations of a map R^{-i} -> K
+    hold block by block of K.  The blocks' rows are contiguous chunks of
+    the row-major vectorisation, so Hom_{R0}(R^{-i}, K) is the sum of the
+    pieces' spaces on those chunks and its RREF basis is their bases
+    concatenated, pivots offset by the chunk.  So the result equals, bit
+    for bit, psi(R, K) shifted by n and its cohomology.  It is a fresh
+    module that keeps the pieces as (psi(E_i), m_i) pairs in _psi_pieces.
     """
     p = R.p
     pieces = [(psi_piece(R, i), m) for i, m in enumerate(multiplicities) if m]
     copies = [pc for pc, m in pieces for _ in range(m)]
-    mods, cohs = [X for X, _ in copies], [H for _, H in copies]
+    mods = [X for X, _ in copies]
+    I, _ = block_sum(R, [(X, n) for X in mods])
     K, _ = hk.direct_sum([X._psi_K for X in mods])
-    sign = -1 if n % 2 else 1
-    degs = sorted({i for X in mods for i in X.degrees()})
-    dims = {i - n: sum(X.dim(i) for X in mods) for i in degs}
-    diff = {i - n: (sign * _block_diag([X.diff_mat(i) for X in mods])) % p for i in degs if i + 1 in degs}
-    act = {(i - n, j): _block_diag([X.act_tensor(i, j) for X in mods]) for i in degs for j in R.degrees() if i + j in degs}
     spaces = {}
     for i, sp in mods[0]._psi_spaces.items():
         sps = [X._psi_spaces[i] for X in mods]
         pivots = _stacked_pivots([X._psi_K.dim * sp.cols for X in mods], [s.pivots for s in sps])
         spaces[i] = la.MapSpace(p, K.dim, sp.cols, _block_diag([s.basis for s in sps]), pivots)
-    I = DGModule(R, dims, diff, act, label=f"psi(K)[{n}]", _psi_spaces=spaces, _psi_K=K,
-                 _psi_pieces=[(X, m) for (X, _), m in pieces])
-    coh = CohomologyData(p, {}, {}, {}, {})
-    empty = la.Subspace(p, 0, la.zeros(0, 0), [])
-    for i in degs:
-        Zs = [H.cycle_basis.get(i, empty) for H in cohs]
-        pivots = _stacked_pivots([X.dim(i) for X in mods], [Z.pivots for Z in Zs])
-        coh.cycle_basis[i - n] = la.Subspace(p, dims[i - n], _block_diag([Z.basis for Z in Zs]), pivots)
-        if h := sum(H.dim(i) for H in cohs):
-            coh.dims[i - n] = h
-            coh.reps[i - n] = _block_diag([H.reps.get(i, la.zeros(X.dim(i), 0)) for X, H in copies])
-            coh.class_proj[i - n] = _block_diag([H.class_proj.get(i, la.zeros(0, Z.dim)) for H, Z in zip(cohs, Zs)])
-    for i in coh.dims:
-        for j, hj in algebra_cohomology(R).dims.items():
-            if coh.dim(i + j):
-                coh.action[(i, j)] = _block_diag([
-                    H.action[(i + n, j)] if (i + n, j) in H.action
-                    else np.zeros((H.dim(i + n), hj, H.dim(i + j + n)), dtype=np.int64)
-                    for H in cohs
-                ])
-    return I, coh
+    I.label = f"psi(K)[{n}]"
+    I._psi_spaces, I._psi_K, I._psi_pieces = spaces, K, [(X, m) for (X, _), m in pieces]
+    return I, block_sum_cohomology(R, [(H, n) for _, H in copies])
 
 
 def heart_embed(R: DGAlgebra, N: hk.FDModule) -> DGModule:

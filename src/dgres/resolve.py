@@ -95,7 +95,7 @@ from . import heartkit as hk
 class StageInfo:
     index: int
     edge: int | float  # sup of the model (sppj/spft) or inf (ifij)
-    term_rank: int
+    term_rank: int  # generators of the free term (sppj); total dimension of the psi term (ifij)
     term_shift: int | None
     term_kind: str  # 'free' or 'psi'
     minimal: str  # 'cover', 'free-minimal' or 'explicit' (sppj), 'envelope' (ifij)

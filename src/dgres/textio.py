@@ -39,6 +39,7 @@ import numpy as np
 from . import battery
 from . import dgcore as dg
 from . import exactla as la
+from . import heartkit as hk
 
 
 class ParseError(ValueError):
@@ -145,6 +146,8 @@ def _lex(text):
                 raise ParseError(line_no, "empty basis list")
             current.degrees[d] = names
         elif head == "unit":
+            if len(toks) < 2:
+                raise ParseError(line_no, "expected 'unit <combo>'")
             current.unit_expr = line.split(None, 1)[1]
             current.unit_line = line_no
         elif head == "mul":
@@ -187,9 +190,38 @@ def _combo_vector(combo: dict, where, dims, expect_degree, line_no, p):
     return v
 
 
+def _read_diff(block: _Block, where, dims, p: int, noun: str) -> dict[int, np.ndarray]:
+    """The differential of a block's 'd' lines; unknown names are `noun`s."""
+    diff = {}
+    for line_no, a, expr in block.diff:
+        if a not in where:
+            raise ParseError(line_no, f"unknown {noun} {a!r}")
+        ia, xa = where[a]
+        combo = _parse_combo(expr, where, line_no, p)
+        vec = _combo_vector(combo, where, dims, ia + 1, line_no, p)
+        if dims.get(ia + 1, 0) == 0:
+            if combo:
+                raise ParseError(line_no, f"differential lands in the empty degree {ia + 1}")
+            continue
+        d = diff.setdefault(ia, la.zeros(dims[ia + 1], dims[ia]))
+        d[:, xa] = vec
+    return diff
+
+
+def _builtin(block: _Block, build, *args):
+    """build(*args) for a builtin block; a bad spec becomes a ParseError on
+    the block's line, while a bad p (ConfigurationError) passes through."""
+    try:
+        return build(*args)
+    except hk.ConfigurationError:
+        raise
+    except ValueError as e:
+        raise ParseError(block.line_no, f"builtin {block.builtin!r}: {e}") from e
+
+
 def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
     if block.builtin is not None:
-        return battery.builtin_algebra(block.builtin, p, seed)
+        return _builtin(block, battery.builtin_algebra, block.builtin, p, seed)
     if not block.degrees:
         raise ParseError(block.line_no, "algebra block declares no basis")
     where = _index_names(block.degrees, block.line_no)
@@ -230,19 +262,7 @@ def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
             raise ParseError(line_no, f"product lands in the empty degree {ia + ib}")
         if t.shape[2]:
             t[xa, xb, :] = vec
-    diff = {}
-    for line_no, a, expr in block.diff:
-        if a not in where:
-            raise ParseError(line_no, f"unknown basis name {a!r}")
-        ia, xa = where[a]
-        combo = _parse_combo(expr, where, line_no, p)
-        vec = _combo_vector(combo, where, dims, ia + 1, line_no, p)
-        if dims.get(ia + 1, 0) == 0:
-            if combo:
-                raise ParseError(line_no, f"differential lands in the empty degree {ia + 1}")
-            continue
-        d = diff.setdefault(ia, la.zeros(dims[ia + 1], dims[ia]))
-        d[:, xa] = vec
+    diff = _read_diff(block, where, dims, p, "basis name")
     R = dg.DGAlgebra(p, dims, {k: v for k, v in mult.items() if v.size}, diff, unit, label="algebra", seed=seed)
     R.names = {d: list(ns) for d, ns in block.degrees.items()}
     report = dg.validate_algebra(R)
@@ -253,10 +273,12 @@ def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
 
 def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
     if block.builtin is not None:
-        return battery.builtin_module(R, block.builtin)
+        return _builtin(block, battery.builtin_module, R, block.builtin)
     where = _index_names(block.degrees, block.line_no)
     dims = {d: len(ns) for d, ns in block.degrees.items()}
     if not dims:
+        if block.act or block.diff:
+            raise ParseError(block.line_no, f"module {block.name!r} has act or d lines but no degree line")
         return dg.zero_module(R)
     alg_names = getattr(R, "names", {})
     alg_where = {nm: (d, i) for d, ns in alg_names.items() for i, nm in enumerate(ns)}
@@ -286,19 +308,7 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
             raise ParseError(line_no, f"action lands in the empty degree {im + jr}")
         if t.shape[2]:
             t[xm, xr, :] = vec
-    diff = {}
-    for line_no, a, expr in block.diff:
-        if a not in where:
-            raise ParseError(line_no, f"unknown module basis name {a!r}")
-        ia, xa = where[a]
-        combo = _parse_combo(expr, where, line_no, p)
-        vec = _combo_vector(combo, where, dims, ia + 1, line_no, p)
-        if dims.get(ia + 1, 0) == 0:
-            if combo:
-                raise ParseError(line_no, f"differential lands in the empty degree {ia + 1}")
-            continue
-        d = diff.setdefault(ia, la.zeros(dims[ia + 1], dims[ia]))
-        d[:, xa] = vec
+    diff = _read_diff(block, where, dims, p, "module basis name")
     M = dg.DGModule(R, dims, diff, {k: v for k, v in act.items() if v.size}, label=block.name)
     M.names = {d: list(ns) for d, ns in block.degrees.items()}
     report = dg.validate_module(M)
