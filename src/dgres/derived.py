@@ -72,13 +72,16 @@ class SemifreeResolution:
         return out
 
 
-def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None) -> SemifreeResolution:
+def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
     """Adjoin free generators top-down until the cone of the augmentation is
     acyclic above the floor.
 
-    Each round kills the top surviving cohomology of the cone by one new
-    generator per minimal generator of that cohomology over H0.  An acyclic
-    M gets the empty free module, whose Hom and tensor complexes vanish.
+    Each round kills the top surviving cohomology H^j of the cone by one new
+    generator per basis vector of top(H^j) over H0, lifted to a cocycle.
+    That can be more than the fewest that cover top(H^j): the regular
+    module over matrix(2), free of rank one, gets four in degree 0.  An
+    acyclic M gets the empty free module, whose Hom and tensor complexes
+    vanish.
 
     The cone's cohomology is computed on [floor + 1, j] only: j is sup H(M)
     in the first round, whose cone is M, and afterwards the degree just
@@ -95,7 +98,7 @@ def semifree(M: dg.DGModule, floor: int, max_rounds: int | None = None) -> Semif
         sf.augmentation = dg.DGMorphism(sf.free, M, {})
         return sf
     rounds = 0
-    budget = max_rounds if max_rounds is not None else (int(coh0.sup) - floor + 4)
+    budget = int(coh0.sup) - floor + 4
     j = coh0.sup
     while True:
         F = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
@@ -253,10 +256,9 @@ def tensor_over_h0(Q: hk.FDModule, L: hk.FDModule):
     quotient of the ambient Q (x) L by the middle-action relations."""
     # action[a] acts on columns; as a tensor, action[a][u, x] is the
     # coefficient of u in x.a
-    rows, right = la.relations(np.transpose(Q.action, (2, 0, 1)), np.transpose(L.action, (2, 0, 1)), Q.algebra.p)
-    rows += right
-    del right
-    proj, sect = la.quotient_basis(la.span(rows[rows.any(axis=1)], Q.dim * L.dim, Q.algebra.p))
+    p = Q.algebra.p
+    terms = [(np.transpose(Q.action, (2, 0, 1)), np.transpose(L.action, (2, 0, 1)), 1, 0, 0)]
+    proj, sect = la.quotient_basis(la.span(la.balance_rows(terms, [Q.dim * L.dim], p), Q.dim * L.dim, p))
     return proj.shape[0], proj, sect
 
 

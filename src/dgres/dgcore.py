@@ -483,14 +483,6 @@ def cohomology_map(f: DGMorphism, i: int, coh_src: CohomologyData, coh_tgt: Coho
     return coh_tgt.project(i, f.apply(coh_src.reps[i], i))
 
 
-def sup(M: DGModule):
-    return cohomology(M, with_action=False).sup
-
-
-def inf(M: DGModule):
-    return cohomology(M, with_action=False).inf
-
-
 def heart_module(M: DGModule, i: int, coh: CohomologyData | None = None) -> hk.FDModule:
     """H^i(M) as a right module over H0 = H0(R)."""
     hd = hk.heart_of(M.algebra)
@@ -837,25 +829,14 @@ def _hom_component(M: DGModule, N: DGModule, n: int):
     """Canonical basis of degree-n R-linear maps with its block layout."""
     p = M.p
     layout = [(i, N.dim(i + n), M.dim(i)) for i in M.degrees() if N.dim(i + n)]  # blocks phi_i, both sides nonzero
-    total = sum(r * c for _, r, c in layout)
-    if total == 0:
+    if not layout:
         return la.MapSpace(p, 1, 1, la.zeros(0, 1), []), layout
-    offs, off = {}, 0
-    for i, r, c in layout:
-        offs[i], off = off, off + r * c
-    blocks = []
-    for i in M.degrees():
-        for j in M.algebra.degrees():
-            # phi_i(m) . r - phi_{i+j}(m . r) = 0 for m in M^i, r in R^j
-            left, right = la.relations(np.swapaxes(N.act_tensor(i + n, j), 0, 2), M.act_tensor(i, j), p)
-            rows = la.zeros(left.shape[0], total)
-            if i in offs:
-                rows[:, offs[i] : offs[i] + left.shape[1]] = left
-            if i + j in offs:
-                rows[:, offs[i + j] : offs[i + j] + right.shape[1]] += right
-            blocks.append(rows[rows.any(axis=1)])
-    ker = la.kernel(np.concatenate(blocks), p)
-    return la.MapSpace(p, 1, total, ker.basis, ker.pivots), layout
+    block = {i: b for b, (i, _, _) in enumerate(layout)}
+    # phi_i(m) . r - phi_{i+j}(m . r) = 0 for m in M^i, r in R^j
+    terms = ((np.swapaxes(N.act_tensor(i + n, j), 0, 2), M.act_tensor(i, j), 1, block.get(i), block.get(i + j))
+             for i in M.degrees() for j in M.algebra.degrees())
+    ker = la.kernel(la.balance_rows(terms, [r * c for _, r, c in layout], p), p)
+    return la.MapSpace(p, 1, ker.ambient_dim, ker.basis, ker.pivots), layout
 
 
 def _unflatten(vecs, layout):
@@ -888,28 +869,15 @@ def tensor_complex(M: DGModule, L: DGModule, window: tuple[int, int] | None = No
     for n in range(nlo, nhi + 1):
         layout = [(i, M.dim(i), L.dim(n - i)) for i in M.degrees() if L.dim(n - i)]
         layouts[n] = layout
-        total = sum(a * b for _, a, b in layout)
-        if total == 0:
+        if not layout:
             continue
-        offs = {}
-        off = 0
-        for i, a, b in layout:
-            offs[i] = off
-            off += a * b
-        blocks = []
-        for i in M.degrees():
-            for j in Rop.degrees():
-                # (m r) ⊗ l - (-1)^{|r||l|} m ⊗ (l *op r),  r in R^j, l in L^t
-                t = n - i - j
-                left, right = la.relations(M.act_tensor(i, j), L.act_tensor(t, j), p, -1 if (j * t) % 2 else 1)
-                rows = la.zeros(left.shape[0], total)
-                if i + j in offs:
-                    rows[:, offs[i + j] : offs[i + j] + left.shape[1]] = left
-                if i in offs:
-                    rows[:, offs[i] : offs[i] + right.shape[1]] += right
-                blocks.append(rows[rows.any(axis=1)])
-        sub = la.span(np.concatenate(blocks), total, p)
-        projs[n], sects[n] = la.quotient_basis(sub)
+        widths = [a * b for _, a, b in layout]
+        block = {i: b for b, (i, _, _) in enumerate(layout)}
+        # (m r) ⊗ l - (-1)^{|r||l|} m ⊗ (l *op r),  r in R^j, l in L^t, t = n - i - j
+        terms = ((M.act_tensor(i, j), L.act_tensor(n - i - j, j), -1 if (j * (n - i - j)) % 2 else 1,
+                  block.get(i + j), block.get(i))
+                 for i in M.degrees() for j in Rop.degrees())
+        projs[n], sects[n] = la.quotient_basis(la.span(la.balance_rows(terms, widths, p), sum(widths), p))
     dims = {n: projs[n].shape[0] for n in projs if projs[n].shape[0]}
     diff = {}
     for n in sorted(projs):
@@ -949,10 +917,8 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
         if R.dim(src) == 0 or K.dim == 0:
             continue
         # phi(s . e) = phi(s) . e for e in R0
-        rows, right = la.relations(np.swapaxes(K.action, 0, 1), R.mult_tensor(src, 0), p)
-        rows += right
-        del right
-        ker = la.kernel(rows[rows.any(axis=1)], p)
+        terms = [(np.swapaxes(K.action, 0, 1), R.mult_tensor(src, 0), 1, 0, 0)]
+        ker = la.kernel(la.balance_rows(terms, [K.dim * R.dim(src)], p), p)
         spaces[i] = la.MapSpace(p, K.dim, R.dim(src), ker.basis, ker.pivots)
     dims = {i: sp.dim for i, sp in spaces.items() if sp.dim}
     phis = {i: sp.matrices() for i, sp in spaces.items() if sp.dim}

@@ -34,6 +34,7 @@ inner dimension below 9e9 is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -199,11 +200,6 @@ def kernel(m, p: int) -> Subspace:
     return Subspace(p, cols, basis[:, ::-1].copy(), (cols - 1 - free).tolist())
 
 
-def image(m, p: int) -> Subspace:
-    """Column space of m as a canonical subspace of k^rows."""
-    return span(as_field(m, p).T, m.shape[0], p)
-
-
 def solve(m, b, p: int):
     """Some x with m x = b, or None when the system is inconsistent."""
     x = solve_many(m, as_field(b, p).reshape(-1, 1), p)
@@ -283,9 +279,8 @@ def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
     Row (x, a, y), row-major, is one relation.  The first block holds the
     coefficients of (x.a) (x) y on k^m2 (x) k^n, the second those of
     -sign * x (x) (y.a) on k^m (x) k^n2; columns are row-major too.  When
-    the two spaces coincide the relations are the sum of the blocks, which a
-    caller forms in place.  Many rows are often zero; drop them before
-    eliminating.
+    the two spaces coincide the relations are the sum of the blocks;
+    balance_rows lays the blocks out, adds them and drops the zero rows.
 
     One matrix serves tensor quotients and Hom spaces, because
     Hom_A(Q, D L) = D(Q (x)_A L) = D(L (x)_{A^op} Q) for the k-dual D:
@@ -310,6 +305,32 @@ def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
     if sign == 1:
         np.negative(right, out=right)
     return left, right
+
+
+def balance_rows(terms, widths, p: int) -> np.ndarray:
+    """The nonzero rows of balance relations over column blocks of the given widths.
+
+    A term (src, tgt, sign, left_block, right_block) places the two blocks of
+    relations(src, tgt, p, sign) at the columns of those blocks and leaves
+    out a side whose block is None.  The sides add where they meet, in place
+    when there is only one block, so no array of the full height is copied.
+    """
+    offsets = [0, *accumulate(widths)]
+    out = []
+    for src, tgt, sign, lb, rb in terms:
+        if lb is None and rb is None:
+            continue
+        left, right = relations(src, tgt, p, sign)
+        if len(widths) == 1:
+            rows = left if rb is None else right if lb is None else np.add(left, right, out=left)
+        else:
+            rows = zeros(left.shape[0], offsets[-1])
+            for b, side in ((lb, left), (rb, right)):
+                if b is not None:
+                    rows[:, offsets[b] : offsets[b + 1]] += side
+        del left, right
+        out.append(rows[rows.any(axis=1)])
+    return out[0] if len(out) == 1 else np.concatenate([zeros(0, offsets[-1]), *out])
 
 
 def solve_many(m, rhs, p: int):

@@ -99,12 +99,6 @@ class OrdinaryAlgebra:
         """Matrix of x -> x v."""
         return np.einsum("b,abc->ca", la.as_field(v, self.p), self.mult) % self.p
 
-    def power(self, v, k: int) -> np.ndarray:
-        out = self.unit.copy()
-        for _ in range(k):
-            out = self.multiply(out, v)
-        return out
-
     def opposite(self) -> "OrdinaryAlgebra":
         if "opposite" not in self._cache:
             swapped = np.swapaxes(self.mult, 0, 1)
@@ -418,10 +412,8 @@ def hom_space(M: FDModule, N: FDModule) -> la.MapSpace:
     p = M.algebra.p
     # action[a] acts on columns; as a tensor, action[a][u, x] is the
     # coefficient of u in x.a, and the dual of N transposes each action[a]
-    rows, right = la.relations(np.swapaxes(N.action, 0, 1), np.transpose(M.action, (2, 0, 1)), p)
-    rows += right
-    del right
-    ker = la.kernel(rows[rows.any(axis=1)], p)
+    terms = [(np.swapaxes(N.action, 0, 1), np.transpose(M.action, (2, 0, 1)), 1, 0, 0)]
+    ker = la.kernel(la.balance_rows(terms, [N.dim * M.dim], p), p)
     return la.MapSpace(p, N.dim, M.dim, ker.basis, ker.pivots)
 
 
@@ -602,13 +594,6 @@ def projective_indecomposable(A: OrdinaryAlgebra, i: int) -> tuple[FDModule, np.
     return A._cache[key]
 
 
-def top_multiplicities(A: OrdinaryAlgebra, N: FDModule) -> list[int]:
-    """Multiplicity of each simple in N / N.rad."""
-    top, _ = top_of(N)
-    idems = _lift_idempotents(A)
-    return [la.rank(top.action_of(e), A.p) for e in idems]
-
-
 @dataclass
 class CoverData:
     module: FDModule
@@ -729,47 +714,6 @@ def free_basis(N: FDModule, cover: CoverData | None = None):
         if la.rank(np.stack(cols, axis=1), p) == N.dim:
             return gens
     raise RuntimeError("free_basis: no certified free basis within the retry budget")
-
-
-# ---------------------------------------------------------------------------
-# split-map tests
-
-
-def split_mono_check(source: FDModule, target: FDModule, g) -> bool:
-    """True iff g : source -> target admits an equivariant retraction."""
-    p = source.algebra.p
-    hs = hom_space(target, source)
-    if source.dim == 0:
-        return True
-    cols = [la.matmul(hs.matrix(k), g, p).reshape(-1) for k in range(hs.dim)]
-    if not cols:
-        return False
-    return la.solve(np.stack(cols, axis=1), la.eye(source.dim).reshape(-1), p) is not None
-
-
-def split_epi_check(source: FDModule, target: FDModule, g) -> bool:
-    """True iff g : source -> target admits an equivariant section."""
-    p = source.algebra.p
-    hs = hom_space(target, source)
-    if target.dim == 0:
-        return True
-    cols = [la.matmul(g, hs.matrix(k), p).reshape(-1) for k in range(hs.dim)]
-    if not cols:
-        return False
-    return la.solve(np.stack(cols, axis=1), la.eye(target.dim).reshape(-1), p) is not None
-
-
-def composition_length(N: FDModule) -> int:
-    A = N.algebra
-    idems = _lift_idempotents(A)
-    total = 0
-    cur = N
-    while cur.dim:
-        layer, _ = top_of(cur)
-        total += sum(la.rank(layer.action_of(e), A.p) for e in idems)
-        sub = module_times_ideal(cur, radical(A))
-        cur, _ = subspace_module(cur, sub)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,8 @@ def _action_map(M, cohM, s, i):
         return la.zeros(tgt, 0), 0
     qa = cohM.action.get((s, 0), np.zeros((q, hd.h0.dim, q), dtype=np.int64))
     av = cohR.action.get((0, -i), np.zeros((hd.h0.dim, v, v), dtype=np.int64))
-    # relations (q . a) (x) v - q (x) (a . v); most vanish, and dropping them
-    # (and the second block) first keeps the copies made by span small
-    rows, right = la.relations(qa, np.swapaxes(av, 0, 1), p)
-    rows += right
-    del right
-    sub = la.span(rows[rows.any(axis=1)], q * v, p)
+    # relations (q . a) (x) v - q (x) (a . v) over H0
+    sub = la.span(la.balance_rows([(qa, np.swapaxes(av, 0, 1), 1, 0, 0)], [q * v], p), q * v, p)
     proj, sect = la.quotient_basis(sub)
     t = cohM.action.get((s, -i), np.zeros((q, v, tgt), dtype=np.int64))
     big = t.reshape(q * v, tgt).T
@@ -296,17 +292,13 @@ def _strict_map_to_psi(M, I, t, cohM, values):
     for piece, copies in I._psi_pieces:
         E = piece._psi_K
         k = E.dim
-        # unknowns: phi on E as a (k, n) matrix, row-major.  phi(m . e) =
-        # phi(m) . e for e in R0; against a zero target action the rows
-        # -phi(c) prescribe phi(c) on the columns c of d_{t-1} (zero) and of
-        # the reps (values), one right-hand side per copy of E
-        rows, right = la.relations(np.swapaxes(E.action, 0, 1), M.act_tensor(t, 0), p)
-        rows += right
-        del right
-        rows = np.concatenate([la.relations(np.zeros((k, 1, 0)), fixed.T[:, None, :], p)[1], rows[rows.any(axis=1)]])
+        # unknowns: phi on E as a (k, n) matrix, row-major.  kron(1, fixed.T) prescribes phi on the
+        # columns of d_{t-1} (zero) and of the reps (values, one per copy of E); phi is R0-linear
+        linearity = (np.swapaxes(E.action, 0, 1), M.act_tensor(t, 0), 1, 0, 0)
+        rows = np.concatenate([np.kron(la.eye(k), fixed.T), la.balance_rows([linearity], [k * n], p)])
         vals, r = values[r : r + copies * k].reshape(copies, k, -1), r + copies * k
         rhs = la.zeros(rows.shape[0], copies)
-        rhs[: k * fixed.shape[1]] = -np.concatenate([np.zeros((copies, k, nb), dtype=np.int64), vals], axis=2).reshape(copies, -1).T
+        rhs[: k * fixed.shape[1]] = np.concatenate([np.zeros((copies, k, nb), dtype=np.int64), vals], axis=2).reshape(copies, -1).T
         sol = la.solve_many(rows, rhs, p)
         if sol is None:
             raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")

@@ -208,6 +208,27 @@ def _read_diff(block: _Block, where, dims, p: int, noun: str) -> dict[int, np.nd
     return diff
 
 
+def _read_table(entries, left, right, table, dims, p: int, nouns, what: str):
+    """Fill table[(i, j)][x, y] from the 'mul' or 'act' lines x y = combo.
+
+    x and the combo's names are looked up in left, y in right; unknown names
+    are nouns[0] and nouns[1], and a nonzero value in an empty degree is an
+    error naming `what`.
+    """
+    for line_no, a, b, expr in entries:
+        for nm, names, noun in ((a, left, nouns[0]), (b, right, nouns[1])):
+            if nm not in names:
+                raise ParseError(line_no, f"unknown {noun} {nm!r}")
+        (i, x), (j, y) = left[a], right[b]
+        combo = _parse_combo(expr, left, line_no, p)
+        vec = _combo_vector(combo, left, dims, i + j, line_no, p)
+        t = table[(i, j)]
+        if t.shape[2] == 0 and np.any(vec):
+            raise ParseError(line_no, f"{what} lands in the empty degree {i + j}")
+        if t.shape[2]:
+            t[x, y, :] = vec
+
+
 def _builtin(block: _Block, build, *args):
     """build(*args) for a builtin block; a bad spec becomes a ParseError on
     the block's line, while a bad p (ConfigurationError) passes through."""
@@ -250,18 +271,7 @@ def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
             t = mult[(d, iu)]
             if t.shape[2]:
                 t[idx, uidx, idx] = 1
-    for line_no, a, b, expr in block.mul:
-        for nm in (a, b):
-            if nm not in where:
-                raise ParseError(line_no, f"unknown basis name {nm!r}")
-        (ia, xa), (ib, xb) = where[a], where[b]
-        combo = _parse_combo(expr, where, line_no, p)
-        vec = _combo_vector(combo, where, dims, ia + ib, line_no, p)
-        t = mult[(ia, ib)]
-        if t.shape[2] == 0 and np.any(vec):
-            raise ParseError(line_no, f"product lands in the empty degree {ia + ib}")
-        if t.shape[2]:
-            t[xa, xb, :] = vec
+    _read_table(block.mul, where, where, mult, dims, p, ("basis name", "basis name"), "product")
     diff = _read_diff(block, where, dims, p, "basis name")
     R = dg.DGAlgebra(p, dims, {k: v for k, v in mult.items() if v.size}, diff, unit, label="algebra", seed=seed)
     R.names = {d: list(ns) for d, ns in block.degrees.items()}
@@ -295,19 +305,7 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
             for u in unit_idx:
                 t[:, u, :] += int(R.unit[u]) * la.eye(dims[i])
             t %= p
-    for line_no, mname, rname, expr in block.act:
-        if mname not in where:
-            raise ParseError(line_no, f"unknown module basis name {mname!r}")
-        if rname not in alg_where:
-            raise ParseError(line_no, f"unknown algebra basis name {rname!r}")
-        (im, xm), (jr, xr) = where[mname], alg_where[rname]
-        combo = _parse_combo(expr, where, line_no, p)
-        vec = _combo_vector(combo, where, dims, im + jr, line_no, p)
-        t = act[(im, jr)]
-        if t.shape[2] == 0 and np.any(vec):
-            raise ParseError(line_no, f"action lands in the empty degree {im + jr}")
-        if t.shape[2]:
-            t[xm, xr, :] = vec
+    _read_table(block.act, where, alg_where, act, dims, p, ("module basis name", "algebra basis name"), "action")
     diff = _read_diff(block, where, dims, p, "module basis name")
     M = dg.DGModule(R, dims, diff, {k: v for k, v in act.items() if v.size}, label=block.name)
     M.names = {d: list(ns) for d, ns in block.degrees.items()}
@@ -366,48 +364,36 @@ def _combo_str(vec, names, p):
     return " + ".join(terms) if terms else "0"
 
 
+def _table_lines(M, keyword, names, alg_names, p):
+    """The 'mul' or 'act' lines (keyword) and the 'd' lines of M."""
+    R, degs = M.algebra, sorted(M.degrees(), reverse=True)
+    lines = []
+    for i in degs:
+        for j in sorted(R.degrees(), reverse=True):
+            t = M.act_tensor(i, j)
+            for a, b in np.ndindex(M.dim(i), R.dim(j)):
+                if np.any(t[a, b]):
+                    lines.append(f"{keyword} {names[i][a]} {alg_names[j][b]} = " + _combo_str(t[a, b], names[i + j], p))
+    for i in degs:
+        d = M.diff_mat(i)
+        for a in range(M.dim(i)):
+            if np.any(d[:, a]):
+                lines.append(f"d {names[i][a]} = " + _combo_str(d[:, a], names[i + 1], p))
+    return lines
+
+
 def emit(doc: InputDocument) -> str:
     R = doc.algebra
     p = doc.p
-    lines = [f"p {p}", ""]
-    lines.append("algebra")
     names = _names_for(R)
-    for d in sorted(R.degrees(), reverse=True):
-        lines.append(f"degree {d} names " + " ".join(names[d]))
+    lines = [f"p {p}", "", "algebra"]
+    lines += [f"degree {d} names " + " ".join(names[d]) for d in sorted(R.degrees(), reverse=True)]
     lines.append("unit " + _combo_str(R.unit, names[0], p))
-    for i in sorted(R.degrees(), reverse=True):
-        for j in sorted(R.degrees(), reverse=True):
-            t = R.mult_tensor(i, j)
-            for a in range(R.dim(i)):
-                for b in range(R.dim(j)):
-                    vec = t[a, b] if t.size else np.zeros(0, dtype=np.int64)
-                    if vec.size and np.any(vec):
-                        lines.append(f"mul {names[i][a]} {names[j][b]} = " + _combo_str(vec, names[i + j], p))
-    for i in sorted(R.degrees(), reverse=True):
-        d = R.diff_mat(i)
-        for a in range(R.dim(i)):
-            if d.size and np.any(d[:, a]):
-                lines.append(f"d {names[i][a]} = " + _combo_str(d[:, a], names[i + 1], p))
+    lines += _table_lines(R.regular_module(), "mul", names, names, p)
     for name in sorted(doc.modules):
         M = doc.modules[name]
-        lines.append("")
-        lines.append(f"module {name}")
         mnames = _names_for(M, fallback_prefix="m")
-        for dgr in sorted(M.degrees(), reverse=True):
-            lines.append(f"degree {dgr} names " + " ".join(mnames[dgr]))
-        for i in sorted(M.degrees(), reverse=True):
-            for j in sorted(R.degrees(), reverse=True):
-                t = M.act_tensor(i, j)
-                for a in range(M.dim(i)):
-                    for b in range(R.dim(j)):
-                        vec = t[a, b] if t.size else np.zeros(0, dtype=np.int64)
-                        if vec.size and np.any(vec):
-                            lines.append(
-                                f"act {mnames[i][a]} {names[j][b]} = " + _combo_str(vec, mnames[i + j], p)
-                            )
-        for i in sorted(M.degrees(), reverse=True):
-            d = M.diff_mat(i)
-            for a in range(M.dim(i)):
-                if d.size and np.any(d[:, a]):
-                    lines.append(f"d {mnames[i][a]} = " + _combo_str(d[:, a], mnames[i + 1], p))
+        lines += ["", f"module {name}"]
+        lines += [f"degree {d} names " + " ".join(mnames[d]) for d in sorted(M.degrees(), reverse=True)]
+        lines += _table_lines(M, "act", mnames, names, p)
     return "\n".join(lines) + "\n"

@@ -199,24 +199,6 @@ def test_pi_shriek_hull_roundtrip():
         assert out.dim == J.dim
 
 
-def test_split_checks():
-    A = dual_numbers()
-    reg = hk.regular_module(A)
-    assert hk.split_mono_check(reg, reg, la.eye(2))
-    k = hk.simples(A)[0]
-    # socle inclusion k -> k[x]/(x^2): image spanned by x
-    g = np.array([[0], [1]], dtype=np.int64)
-    assert not hk.split_mono_check(k, reg, g)
-    two, incls = hk.direct_sum([reg, reg])
-    assert hk.split_mono_check(reg, two, incls[0])
-    assert hk.split_epi_check(reg, reg, la.eye(2))
-    proj = incls[0].T
-    assert hk.split_epi_check(two, reg, proj)
-    # quotient k[x]/(x^2) -> k does not split
-    q = np.array([[1, 0]], dtype=np.int64)
-    assert not hk.split_epi_check(reg, k, q)
-
-
 def test_free_rank_and_basis():
     A = upper_triangular()
     reg = hk.regular_module(A)
@@ -232,16 +214,6 @@ def test_free_rank_and_basis():
     simple = hk.simples(M2)[0]
     assert hk.is_projective(simple)
     assert hk.free_rank(simple) is None
-
-
-def test_top_multiplicities_and_length():
-    A = upper_triangular()
-    reg = hk.regular_module(A)
-    assert sorted(hk.top_multiplicities(A, reg)) == [1, 1]
-    assert hk.composition_length(reg) == 3
-    assert hk.composition_length(hk.simples(A)[0]) == 1
-    B = dual_numbers()
-    assert hk.composition_length(hk.regular_module(B)) == 2
 
 
 def test_unsplit_factor_detected():
@@ -571,7 +543,6 @@ def test_submodules_quotients_and_freeness_match_oracles(ordinary):
     for A in ordinary:
         rad = hk.radical(A)
         for N in heart_inputs(A):
-            assert hk.top_multiplicities(A, N) == top_multiplicities_oracle(A, N)
             assert hk.free_rank(N) == free_rank_oracle(N)
             gens, gens_o = hk.free_basis(N), free_basis_oracle(N)
             assert (gens is None) == (gens_o is None)

@@ -1,8 +1,9 @@
-"""The one relation builder, exactla.relations, against the per-site loop
-and kron constructions it replaced, which are kept here as test-only
-oracles.  Every Hom basis, tensor quotient, psi space, action map and psi
-stage map must come out bit-identical, over the battery algebras and the
-two-variable Koszul algebra (whose odd degrees exercise the tensor sign)."""
+"""The one relation builder, exactla.relations, and the one system builder
+on top of it, exactla.balance_rows, against the per-site loop and kron
+constructions they replaced, which are kept here as test-only oracles.
+Every Hom basis, tensor quotient, psi space, action map and psi stage map
+must come out bit-identical, over the battery algebras and the two-variable
+Koszul algebra (whose odd degrees exercise the tensor sign)."""
 
 import numpy as np
 import pytest
@@ -286,6 +287,49 @@ def test_relations_blocks_are_the_balance_relations():
             x_ya = np.outer(la.eye(2)[x], tgt[y, a]).reshape(-1)
             assert np.array_equal(left[row], xa_y)
             assert np.array_equal(right[row], -sign * x_ya)
+
+
+def balance_rows_oracle(terms, widths):
+    """Row by row: (x.a) (x) y at the left block's columns plus
+    -sign * x (x) (y.a) at the right block's, zero rows left out."""
+    offs = np.concatenate([[0], np.cumsum(widths)]).astype(int)
+    rows = []
+    for src, tgt, sign, lb, rb in terms:
+        (m, A, _), (n, _, _) = src.shape, tgt.shape
+        for x, a, y in np.ndindex(m, A, n):
+            row = np.zeros(offs[-1], dtype=np.int64)
+            if lb is not None:
+                row[offs[lb] : offs[lb + 1]] += np.outer(src[x, a], la.eye(n)[y]).reshape(-1)
+            if rb is not None:
+                row[offs[rb] : offs[rb + 1]] -= sign * np.outer(la.eye(m)[x], tgt[y, a]).reshape(-1)
+            if row.any():
+                rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, offs[-1])
+
+
+def test_balance_rows_lays_out_the_relations():
+    rng = np.random.default_rng(5)
+    p = 101
+
+    def sparse(*shape):
+        return rng.integers(0, p, shape) * (rng.random(shape) < 0.3)
+
+    # blocks of widths 4, 6 and 20: block 1 takes both sides of one term,
+    # and a term with no side placed gives no rows (the last case)
+    a, b = sparse(2, 3, 4), sparse(5, 3, 2)
+    c, d = sparse(2, 3, 3), sparse(2, 3, 3)
+    e, f = sparse(2, 2, 4), sparse(2, 2, 2)
+    multi = [(a, b, 1, 2, 0), (c, d, -1, 1, 1), (e, f, 1, None, 0), (e, f, 1, None, None)]
+    single = [(c, d, 1, 0, 0), (c, d, -1, 0, None), (c, d, 1, None, 0)]
+    for terms, widths in ((multi, [4, 6, 20]), (single, [6]), (multi[3:], [4, 6, 20])):
+        before = [(s.copy(), t.copy()) for s, t, *_ in terms]
+        got = la.balance_rows(terms, widths, p)
+        want = balance_rows_oracle(terms, widths)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert all(np.array_equal(s, s0) and np.array_equal(t, t0) for (s, t, *_), (s0, t0) in zip(terms, before))
+    # zero rows occur, and are dropped
+    assert la.balance_rows(multi, [4, 6, 20], p).shape[0] < sum(s.shape[0] * s.shape[1] * t.shape[0]
+                                                                 for s, t, *_ in multi[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,16 @@ def test_no_process_wide_memo():
                 if any(isinstance(d, (ast.List, ast.Dict, ast.Set, ast.Call)) for d in defaults):
                     found.append(f"{path.name}:{node.lineno} mutable default argument")
     assert found == []
+
+
+def test_relations_are_laid_out_by_one_builder():
+    # balance relations reach a Hom kernel or a tensor quotient only through
+    # exactla.balance_rows, so a system's layout is decided in one place
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exactla.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "relations"
+    ]
+    assert found == []
