@@ -151,95 +151,50 @@ def monomial_base(p, variables: list[tuple[str, int]], seed=0):
 
 
 def koszul_dga(base: dg.DGAlgebra, elements: list[np.ndarray], element_names=None, seed=0) -> dg.DGAlgebra:
-    """Koszul complex over a commutative degree-zero base: exterior
-    generators in degree -1 mapped to the given elements by the differential."""
+    """Koszul complex over a commutative degree-zero base B: the exterior
+    algebra on generators e_s in degree -1, tensored with B, with
+    d(e_S b) = sum over s in S, at position pos, of (-1)^pos e_{S - s} b x_s.
+
+    Degree -k has the basis e_S b_u, the size-k subsets S in lexicographic
+    order and, within each, the basis b_u of B.
+    """
     if base.degrees() != [0]:
         raise ValueError("koszul base must be concentrated in degree zero")
-    p = base.p
-    m = base.dim(0)
-    d = len(elements)
-    base_mult = base.mult_tensor(0, 0)
-    # basis of degree -k: (subset S of size k, base index u), subsets sorted
-    subsets = {k: sorted(itertools.combinations(range(d), k)) for k in range(d + 1)}
-    index = {}
-    dims = {}
-    for k in range(d + 1):
-        deg = -k
-        cnt = 0
-        for S in subsets[k]:
-            for u in range(m):
-                index[(S, u)] = (deg, cnt)
-                cnt += 1
-        if cnt:
-            dims[deg] = cnt
-
-    def shuffle_sign(S, T):
-        inv = sum(1 for s in S for t in T if s > t)
-        return -1 if inv % 2 else 1
-
+    p, m, B = base.p, base.dim(0), base.mult_tensor(0, 0)
+    subsets = [list(itertools.combinations(range(len(elements)), k)) for k in range(len(elements) + 1)]
+    where = {S: t for subs in subsets for t, S in enumerate(subs)}
+    dims = {-k: len(subs) * m for k, subs in enumerate(subsets)}
     mult = {}
-    for ki in range(d + 1):
-        for kj in range(d + 1):
-            if ki + kj > d:
-                continue
-            i, j = -ki, -kj
-            t = np.zeros((dims.get(i, 0), dims.get(j, 0), dims.get(i + j, 0)), dtype=np.int64)
-            for S in subsets[ki]:
-                for T in subsets[kj]:
-                    if set(S) & set(T):
-                        continue
-                    U = tuple(sorted(S + T))
-                    sgn = shuffle_sign(S, T)
-                    for u in range(m):
-                        for v in range(m):
-                            prod = base_mult[u, v]
-                            _, a = index[(S, u)]
-                            _, b = index[(T, v)]
-                            for w in range(m):
-                                if prod[w]:
-                                    _, c = index[(U, w)]
-                                    t[a, b, c] = (t[a, b, c] + sgn * prod[w]) % p
-            mult[(i, j)] = t
+    for ki, left in enumerate(subsets):
+        for kj, right in enumerate(subsets[: len(subsets) - ki]):
+            # e_S e_T = (-1)^{inversions} e_{S + T} when S and T are disjoint
+            ext = np.zeros((len(left), len(right), len(subsets[ki + kj])), dtype=np.int64)
+            for (a, S), (b, T) in itertools.product(enumerate(left), enumerate(right)):
+                if not set(S) & set(T):
+                    ext[a, b, where[tuple(sorted(S + T))]] = (-1) ** sum(s > t for s in S for t in T)
+            shape = (dims[-ki], dims[-kj], dims[-ki - kj])
+            mult[(-ki, -kj)] = np.einsum("STU,uvw->SuTvUw", ext, B).reshape(shape) % p
+    # b_u -> b_u x_s as a matrix, one per element
+    right_mult = [np.einsum("b,ubw->wu", la.as_field(x, p), B) % p for x in elements]
     diff = {}
-    for k in range(1, d + 1):
-        i = -k
-        mat = la.zeros(dims.get(i + 1, 0), dims.get(i, 0))
-        for S in subsets[k]:
-            for u in range(m):
-                _, a = index[(S, u)]
-                for pos, s in enumerate(S):
-                    rest = tuple(x for x in S if x != s)
-                    sgn = -1 if pos % 2 else 1
-                    img = base.multiply(la.eye(m)[u], 0, elements[s], 0)
-                    for w in range(m):
-                        if img[w]:
-                            _, c = index[(rest, w)]
-                            mat[c, a] = (mat[c, a] + sgn * img[w]) % p
-        diff[i] = mat
-    unit = np.zeros(dims[0], dtype=np.int64)
-    base_names = getattr(base, "names", [f"b{t}" for t in range(m)])
+    for k in range(1, len(subsets)):
+        diff[-k] = d = la.zeros(dims[1 - k], dims[-k])
+        for a, S in enumerate(subsets[k]):
+            for pos, s in enumerate(S):
+                c = where[S[:pos] + S[pos + 1 :]]
+                d[c * m : (c + 1) * m, a * m : (a + 1) * m] = (-1) ** pos * right_mult[s] % p
+    base_names = getattr(base, "names", {})
     if isinstance(base_names, dict):
         base_names = base_names.get(0, [f"b{t}" for t in range(m)])
-    for u in range(m):
-        if base.unit[u]:
-            _, c = index[((), u)]
-            unit[c] = base.unit[u]
-    element_names = element_names or [f"e{t}" for t in range(d)]
+    element_names = element_names or [f"e{t}" for t in range(len(elements))]
     names = {}
-    for k in range(d + 1):
-        deg = -k
-        if dims.get(deg, 0) == 0:
-            continue
-        lst = [""] * dims[deg]
-        for S in subsets[k]:
+    for k, subs in enumerate(subsets):
+        names[-k] = []
+        for S in subs:
             wedge = "^".join(f"e_{element_names[s]}" for s in S)
-            for u in range(m):
-                _, c = index[(S, u)]
-                nm = base_names[u]
-                lst[c] = wedge if not S == () and nm == "one" else (nm if S == () else f"{nm}*{wedge}")
-        names[deg] = lst
+            names[-k] += [nm if not S else wedge if nm == "one" else f"{nm}*{wedge}" for nm in base_names]
     label = f"koszul({','.join(element_names)}; {base.label})"
-    R = dg.DGAlgebra(p, dims, mult, diff, unit, label=label, seed=seed)
+    R = dg.DGAlgebra(p, dims, mult, diff, np.array(base.unit, dtype=np.int64), label=label, seed=seed)
     R.names = names
     return R
 

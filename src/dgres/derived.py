@@ -73,65 +73,48 @@ class SemifreeResolution:
 
 
 def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
-    """Adjoin free generators top-down until the cone of the augmentation is
-    acyclic above the floor.
+    """Adjoin free generators top-down until the cone C of the augmentation
+    is acyclic above the floor.
 
-    Each round kills the top surviving cohomology H^j of the cone by one new
-    generator per basis vector of top(H^j) over H0, lifted to a cocycle.
-    That can be more than the fewest that cover top(H^j): the regular
+    C starts as M.  Each round kills the top surviving cohomology H^j of C
+    by one new generator e per basis vector of top(H^j) over H0, lifted to a
+    cocycle (m, x) in C^j = M^j + F^{j+1}, and cones them off: C becomes the
+    cone of e -> -(m, x), which is the cone of the augmentation e -> -m with
+    the twist d(e) = x, as the F[1] block of a cone carries -d_F.  That can
+    be more generators than the fewest that cover top(H^j): the regular
     module over matrix(2), free of rank one, gets four in degree 0.  An
     acyclic M gets the empty free module, whose Hom and tensor complexes
     vanish.
 
-    The cone's cohomology is computed on [floor + 1, j] only: j is sup H(M)
-    in the first round, whose cone is M, and afterwards the degree just
-    killed.  Generators adjoined in degree j change the cone in degrees
-    <= j only, so nothing survives above j, and degrees <= floor are never
-    read.
+    H(C) is computed on [floor + 1, j] only: j is M.hi() in the first round
+    and afterwards the degree just killed.  Generators in degree j change C
+    in degrees <= j only, so nothing survives above j, and degrees <= floor
+    are never read.
     """
-    R = M.algebra
-    p = M.p
+    R, p = M.algebra, M.p
     sf = SemifreeResolution(M, floor)
-    coh0 = dg.cohomology(M, with_action=False)
-    if coh0.is_acyclic():
-        sf.free = dg.free_module(R, [])
-        sf.augmentation = dg.DGMorphism(sf.free, M, {})
-        return sf
-    rounds = 0
-    budget = int(coh0.sup) - floor + 4
-    j = coh0.sup
-    while True:
-        F = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
-        eps = dg.free_map(F, M, list(sf.images))
-        C = dg.cone_module(eps)
+    C, j = M, M.hi()
+    for _ in range(max(j - floor, 0) + 1):  # each round lowers j, and j > floor
         cohC = dg.cohomology(C, window=(floor + 1, j))
         if cohC.is_acyclic():
-            sf.free = F
-            sf.augmentation = eps
+            sf.free = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
+            sf.augmentation = dg.free_map(sf.free, M, sf.images)
             return sf
         j = cohC.sup
-        Q = dg.heart_module(C, j, cohC)
-        top, proj_top = hk.top_of(Q)
-        lifts = la.solve_many(proj_top, la.eye(top.dim), p)
-        for t in range(top.dim):
-            rep = cohC.rep(j, lifts[:, t])  # cocycle in C^j = M^j + F^{j+1}
-            m_part = rep[: M.dim(j)]
-            x_part = rep[M.dim(j) :]
-            g_new = len(sf.gen_degrees)
-            # d(e_new) = x_part, split into earlier-generator blocks
-            for h, sh in enumerate(sf.gen_degrees):
-                nb = R.dim(j + 1 - sh)
-                if nb == 0:
-                    continue
-                off = F._offsets[(j + 1, h)]
-                z = x_part[off : off + nb]
-                if np.any(z):
-                    sf.twists[(h, g_new)] = z.copy()
+        top, proj_top = hk.top_of(dg.heart_module(C, j, cohC))
+        reps = cohC.rep(j, la.solve_many(proj_top, la.eye(top.dim), p))  # cocycles (m, x) as columns
+        # x's blocks of F^{j+1}, one per earlier generator h, of width R.dim(j + 1 - s_h)
+        ends = np.cumsum([M.dim(j)] + [R.dim(j + 1 - s) for s in sf.gen_degrees])
+        for rep in reps.T:
+            g = len(sf.gen_degrees)
+            for h, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+                if np.any(rep[a:b]):
+                    sf.twists[(h, g)] = rep[a:b].copy()
             sf.gen_degrees.append(j)
-            sf.images.append((-m_part) % p)
-        rounds += 1
-        if rounds > budget:
-            raise RuntimeError("semifree construction failed to reach the floor")
+            sf.images.append((-rep[: M.dim(j)]) % p)
+        G = dg.free_module(R, [j] * top.dim)
+        C = dg.cone_module(dg.free_map(G, C, list((-reps % p).T)))
+    raise RuntimeError("semifree construction failed to reach the floor")
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +124,27 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
 def rhom(M: dg.DGModule, N: dg.DGModule, window: tuple[int, int],
          resolution: SemifreeResolution | None = None) -> HomTable:
     """Per-degree dimensions of H^n RHom(M, N) for n in the window."""
-    a, b = window
-    if not N.degrees():
-        return HomTable(window, {}, "semifree")
-    floor = N.lo() - b - 2
-    if resolution is None:
-        resolution = semifree(M, floor)
-    elif resolution.floor > floor:
-        raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
-    hc = dg.hom_complex(resolution.free, N, window=(a, b))
-    coh = dg.cohomology(hc, with_action=False, window=window)
-    dims = {n: coh.dim(n) for n in range(a, b + 1) if coh.dim(n)}
-    return HomTable(window, dims, "semifree")
+    return _semifree_table(M, N, window, resolution, N.lo() - window[1] - 2, dg.hom_complex)
 
 
 def ltensor(M: dg.DGModule, L: dg.DGModule, window: tuple[int, int],
             resolution: SemifreeResolution | None = None) -> TorTable:
     """Per-degree dimensions of H^n (M ⊗^L L) for n in the window; L is a
     right module over the opposite algebra."""
-    a, b = window
-    if not L.degrees():
-        return TorTable(window, {}, "semifree")
-    floor = a - L.hi() - 2
+    return _semifree_table(M, L, window, resolution, window[0] - L.hi() - 2, dg.tensor_complex)
+
+
+def _semifree_table(M, N, window, resolution, floor, complex_of) -> HomTable:
+    """H^n of complex_of(F, N) for n in the window, F a semifree resolution
+    of M whose floor is at most the given one."""
+    if not N.degrees():
+        return HomTable(window, {}, "semifree")
     if resolution is None:
         resolution = semifree(M, floor)
     elif resolution.floor > floor:
         raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
-    tc = dg.tensor_complex(resolution.free, L, window=(a, b))
-    coh = dg.cohomology(tc, with_action=False, window=window)
-    dims = {n: coh.dim(n) for n in range(a, b + 1) if coh.dim(n)}
-    return TorTable(window, dims, "semifree")
+    coh = dg.cohomology(complex_of(resolution.free, N, window=window), with_action=False, window=window)
+    return HomTable(window, {n: coh.dim(n) for n in range(window[0], window[1] + 1) if coh.dim(n)}, "semifree")
 
 
 # ---------------------------------------------------------------------------

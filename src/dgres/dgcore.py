@@ -48,8 +48,37 @@ POS_INF = math.inf
 # core types
 
 
+class Graded:
+    """Degree reads shared by algebras, modules and complexes over k: dims
+    maps a degree to its dimension and diff[i] is d : X^i -> X^{i+1}."""
+
+    def dim(self, i: int) -> int:
+        return self.dims.get(i, 0)
+
+    def degrees(self) -> list[int]:
+        return sorted(d for d, n in self.dims.items() if n)
+
+    @property
+    def total_dim(self) -> int:
+        return sum(self.dims.values())
+
+    def lo(self) -> int:
+        degs = self.degrees()
+        return degs[0] if degs else 0
+
+    def hi(self) -> int:
+        degs = self.degrees()
+        return degs[-1] if degs else 0
+
+    def diff_mat(self, i: int) -> np.ndarray:
+        d = self.diff.get(i)
+        if d is None:
+            d = la.zeros(self.dim(i + 1), self.dim(i))
+        return d
+
+
 @dataclass(eq=False)
-class DGAlgebra:
+class DGAlgebra(Graded):
     """Structure-constant tables of a connective DG-algebra over GF(p).
 
     mult[(i, j)] has shape (dim_i, dim_j, dim_{i+j}); diff[i] is the matrix
@@ -78,27 +107,11 @@ class DGAlgebra:
         if p * p * max(n, 1) >= 2**63:
             raise hk.ConfigurationError(f"p^2 * max(total_dim, 1) must be below 2^63, got p={p}, total_dim={n}")
 
-    def dim(self, i: int) -> int:
-        return self.dims.get(i, 0)
-
-    def degrees(self) -> list[int]:
-        return sorted(d for d, n in self.dims.items() if n)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def mult_tensor(self, i: int, j: int) -> np.ndarray:
         t = self.mult.get((i, j))
         if t is None:
             t = np.zeros((self.dim(i), self.dim(j), self.dim(i + j)), dtype=np.int64)
         return t
-
-    def diff_mat(self, i: int) -> np.ndarray:
-        d = self.diff.get(i)
-        if d is None:
-            d = la.zeros(self.dim(i + 1), self.dim(i))
-        return d
 
     def multiply(self, u, i: int, v, j: int) -> np.ndarray:
         return np.einsum("a,b,abc->c", la.as_field(u, self.p), la.as_field(v, self.p), self.mult_tensor(i, j)) % self.p
@@ -130,7 +143,7 @@ class DGAlgebra:
 
 
 @dataclass
-class DGModule:
+class DGModule(Graded):
     """A right DG-module given by per-degree dimensions, differentials and
     action tables act[(i, j)] of shape (dim_i, dimR_j, dim_{i+j})."""
 
@@ -153,30 +166,6 @@ class DGModule:
     @property
     def p(self) -> int:
         return self.algebra.p
-
-    def dim(self, i: int) -> int:
-        return self.dims.get(i, 0)
-
-    def degrees(self) -> list[int]:
-        return sorted(d for d, n in self.dims.items() if n)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def lo(self) -> int:
-        degs = self.degrees()
-        return degs[0] if degs else 0
-
-    def hi(self) -> int:
-        degs = self.degrees()
-        return degs[-1] if degs else 0
-
-    def diff_mat(self, i: int) -> np.ndarray:
-        d = self.diff.get(i)
-        if d is None:
-            d = la.zeros(self.dim(i + 1), self.dim(i))
-        return d
 
     def act_tensor(self, i: int, j: int) -> np.ndarray:
         t = self.act.get((i, j))
@@ -462,7 +451,9 @@ def algebra_cohomology(R: DGAlgebra) -> CohomologyData:
 
 
 def _fill_action(M: DGModule, data: CohomologyData):
-    cohR = algebra_cohomology(M.algebra) if M is not M.algebra.regular_module() else data
+    # H(R) acts through its full data; only H(R) itself may use its own
+    full = data.window == (NEG_INF, POS_INF) and M is M.algebra.regular_module()
+    cohR = data if full else algebra_cohomology(M.algebra)
     p = M.p
     for i, hi in data.dims.items():
         for j, hj in cohR.dims.items():
@@ -764,7 +755,7 @@ def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
 
 
 @dataclass
-class KComplex:
+class KComplex(Graded):
     """A bounded complex of GF(p) vector spaces."""
 
     p: int
@@ -772,18 +763,6 @@ class KComplex:
     diff: dict[int, np.ndarray]
     label: str = ""
     basis: dict = field(default_factory=dict, repr=False)  # per-degree MapSpace or similar
-
-    def dim(self, i: int) -> int:
-        return self.dims.get(i, 0)
-
-    def degrees(self) -> list[int]:
-        return sorted(d for d, n in self.dims.items() if n)
-
-    def diff_mat(self, i: int) -> np.ndarray:
-        d = self.diff.get(i)
-        if d is None:
-            d = la.zeros(self.dim(i + 1), self.dim(i))
-        return d
 
 
 def hom_complex(M: DGModule, N: DGModule, window: tuple[int, int] | None = None) -> KComplex:

@@ -522,12 +522,12 @@ def _verify_simple(mod: FDModule) -> bool:
     return all(la.rank(img, mod.algebra.p) == mod.dim for img in images)
 
 
-def simples(A: OrdinaryAlgebra, seed: int | None = None) -> list[FDModule]:
+def simples(A: OrdinaryAlgebra) -> list[FDModule]:
     """Complete irredundant list of simple right A-modules."""
     key = "simples"
     if key in A._cache:
         return A._cache[key]
-    rng = np.random.default_rng(A.seed if seed is None else seed)
+    rng = np.random.default_rng(A.seed)
     S, proj, _ = semisimple_quotient(A)
     blocks = _block_split(A, S, rng)
     blocks.sort(key=lambda u: tuple(int(x) for x in u))

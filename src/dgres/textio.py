@@ -18,8 +18,11 @@ The format is line-based so fixtures stay bit-exact in the repository:
     d m = 0
     act m x = 0
 
-Unspecified products, actions and differentials default to zero; products
-with a unit declared as a single basis name are filled in automatically.
+Unspecified products, actions and differentials default to zero.  When the
+unit is a single basis vector with coefficient 1, its products and its
+action on modules are filled in automatically; a unit with more terms
+(field x field, matrix(2), triangular(n)) fills in nothing, so every
+nonzero product and action is written out, as emit() does.
 Blocks may instead reference builtin generators:
 
     algebra builtin koszul(x; k[x]/(x^2))
@@ -199,21 +202,16 @@ def _read_diff(block: _Block, where, dims, p: int, noun: str) -> dict[int, np.nd
         ia, xa = where[a]
         combo = _parse_combo(expr, where, line_no, p)
         vec = _combo_vector(combo, where, dims, ia + 1, line_no, p)
-        if dims.get(ia + 1, 0) == 0:
-            if combo:
-                raise ParseError(line_no, f"differential lands in the empty degree {ia + 1}")
-            continue
-        d = diff.setdefault(ia, la.zeros(dims[ia + 1], dims[ia]))
-        d[:, xa] = vec
+        if dims.get(ia + 1, 0):
+            diff.setdefault(ia, la.zeros(dims[ia + 1], dims[ia]))[:, xa] = vec
     return diff
 
 
-def _read_table(entries, left, right, table, dims, p: int, nouns, what: str):
+def _read_table(entries, left, right, table, dims, p: int, nouns):
     """Fill table[(i, j)][x, y] from the 'mul' or 'act' lines x y = combo.
 
     x and the combo's names are looked up in left, y in right; unknown names
-    are nouns[0] and nouns[1], and a nonzero value in an empty degree is an
-    error naming `what`.
+    are nouns[0] and nouns[1].
     """
     for line_no, a, b, expr in entries:
         for nm, names, noun in ((a, left, nouns[0]), (b, right, nouns[1])):
@@ -221,12 +219,14 @@ def _read_table(entries, left, right, table, dims, p: int, nouns, what: str):
                 raise ParseError(line_no, f"unknown {noun} {nm!r}")
         (i, x), (j, y) = left[a], right[b]
         combo = _parse_combo(expr, left, line_no, p)
-        vec = _combo_vector(combo, left, dims, i + j, line_no, p)
-        t = table[(i, j)]
-        if t.shape[2] == 0 and np.any(vec):
-            raise ParseError(line_no, f"{what} lands in the empty degree {i + j}")
-        if t.shape[2]:
-            t[x, y, :] = vec
+        table[(i, j)][x, y, :] = _combo_vector(combo, left, dims, i + j, line_no, p)
+
+
+def _unit_index(unit) -> int | None:
+    """The index of the unit's basis vector when the unit is a single basis
+    vector with coefficient 1 (module docstring), else None."""
+    (nz,) = np.nonzero(unit)
+    return int(nz[0]) if len(nz) == 1 and unit[nz[0]] == 1 else None
 
 
 def _builtin(block: _Block, build, *args):
@@ -256,22 +256,11 @@ def _build_algebra(block: _Block, p: int, seed: int) -> dg.DGAlgebra:
         for i in dims
         for j in dims
     }
-    # unit products are automatic when the unit is a single basis name
-    unit_name = None
-    if len(unit_combo) == 1:
-        nm, c = next(iter(unit_combo.items()))
-        if c == 1:
-            unit_name = nm
-    if unit_name is not None:
-        for nm, (d, idx) in where.items():
-            iu, uidx = where[unit_name]
-            t = mult[(iu, d)]
-            if t.shape[2]:
-                t[uidx, idx, idx] = 1
-            t = mult[(d, iu)]
-            if t.shape[2]:
-                t[idx, uidx, idx] = 1
-    _read_table(block.mul, where, where, mult, dims, p, ("basis name", "basis name"), "product")
+    if (u := _unit_index(unit)) is not None:
+        for d, n in dims.items():
+            mult[(0, d)][u, np.arange(n), np.arange(n)] = 1
+            mult[(d, 0)][np.arange(n), u, np.arange(n)] = 1
+    _read_table(block.mul, where, where, mult, dims, p, ("basis name", "basis name"))
     diff = _read_diff(block, where, dims, p, "basis name")
     R = dg.DGAlgebra(p, dims, {k: v for k, v in mult.items() if v.size}, diff, unit, label="algebra", seed=seed)
     R.names = {d: list(ns) for d, ns in block.degrees.items()}
@@ -297,15 +286,10 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
         for i in dims
         for j in R.degrees()
     }
-    # unit action is automatic
-    unit_idx = np.flatnonzero(R.unit % p)
-    for i in dims:
-        t = act[(i, 0)]
-        if t.shape[2]:
-            for u in unit_idx:
-                t[:, u, :] += int(R.unit[u]) * la.eye(dims[i])
-            t %= p
-    _read_table(block.act, where, alg_where, act, dims, p, ("module basis name", "algebra basis name"), "action")
+    if (u := _unit_index(R.unit % p)) is not None:
+        for i, n in dims.items():
+            act[(i, 0)][:, u, :] = la.eye(n)
+    _read_table(block.act, where, alg_where, act, dims, p, ("module basis name", "algebra basis name"))
     diff = _read_diff(block, where, dims, p, "module basis name")
     M = dg.DGModule(R, dims, diff, {k: v for k, v in act.items() if v.size}, label=block.name)
     M.names = {d: list(ns) for d, ns in block.degrees.items()}
@@ -315,12 +299,10 @@ def _build_module(block: _Block, R: dg.DGAlgebra, p: int) -> dg.DGModule:
     return M
 
 
-def parse(text: str, seed: int = 0, default_p: int | None = None) -> InputDocument:
+def parse(text: str, seed: int = 0) -> InputDocument:
     p_val, blocks = _lex(text)
     if p_val is None:
-        if default_p is None:
-            raise ParseError(1, "missing 'p <prime>' line")
-        p_val = default_p
+        raise ParseError(1, "missing 'p <prime>' line")
     alg_blocks = [b for b in blocks if b.kind == "algebra"]
     if len(alg_blocks) != 1:
         raise ParseError(alg_blocks[1].line_no if len(alg_blocks) > 1 else 1, "expected exactly one algebra block")

@@ -71,3 +71,17 @@ def test_relations_are_laid_out_by_one_builder():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "relations"
     ]
     assert found == []
+
+
+def test_only_free_map_reads_block_offsets():
+    # a free module's generator blocks are located through free_map alone, so
+    # a change of block representation has one reader of _offsets to move
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef) and fn.name != "free_map"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "_offsets" and isinstance(node.ctx, ast.Load)
+    ]
+    assert found == []

@@ -185,3 +185,15 @@ def test_skipped_degrees_still_check_the_differential():
             dg.cohomology(broken, window=window)
     fine = dg.KComplex(P, {0: 1, 1: 1, 2: 1}, {0: one}, label="fine")
     assert dg.cohomology(fine, window=(1, 2)).dims == {2: 1}
+
+
+def test_windowed_cohomology_of_the_regular_module_keeps_the_h0_action(algebras, k2):
+    # R's own regular module acts on itself through H(R); a window must not
+    # drop the classes of H(R) that act from outside it
+    for R in list(algebras.values()) + [k2]:
+        reg, copy = R.regular_module(), dg.free_module(R, [0])
+        for window in ((-2, -1), (-1, -1), (-1, 0), (-3, 0), (-2, 2)):
+            win, ref = dg.cohomology(reg, window=window), dg.cohomology(copy, window=window)
+            assert same_in_window(win, ref) and win.action.keys() == ref.action.keys(), (R.label, window)
+            for i in win.dims:
+                assert same(dg.heart_module(reg, i, win).action, dg.heart_module(copy, i, ref).action), (R.label, i)
