@@ -77,14 +77,12 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
     is acyclic above the floor.
 
     C starts as M.  Each round kills the top surviving cohomology H^j of C
-    by one new generator e per basis vector of top(H^j) over H0, lifted to a
-    cocycle (m, x) in C^j = M^j + F^{j+1}, and cones them off: C becomes the
-    cone of e -> -(m, x), which is the cone of the augmentation e -> -m with
-    the twist d(e) = x, as the F[1] block of a cone carries -d_F.  That can
-    be more generators than the fewest that cover top(H^j): the regular
-    module over matrix(2), free of rank one, gets four in degree 0.  An
-    acyclic M gets the empty free module, whose Hom and tensor complexes
-    vanish.
+    by one new generator e per generator of H^j over H0, the fewest that
+    its projective cover records, lifted to a cocycle (m, x) in
+    C^j = M^j + F^{j+1}, and cones them off: C becomes the cone of
+    e -> -(m, x), which is the cone of the augmentation e -> -m with the
+    twist d(e) = x, as the F[1] block of a cone carries -d_F.  An acyclic M
+    gets the empty free module, whose Hom and tensor complexes vanish.
 
     H(C) is computed on [floor + 1, j] only: j is M.hi() in the first round
     and afterwards the degree just killed.  Generators in degree j change C
@@ -101,8 +99,7 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
             sf.augmentation = dg.free_map(sf.free, M, sf.images)
             return sf
         j = cohC.sup
-        top, proj_top = hk.top_of(dg.heart_module(C, j, cohC))
-        reps = cohC.rep(j, la.solve_many(proj_top, la.eye(top.dim), p))  # cocycles (m, x) as columns
+        reps = cohC.rep(j, hk.projective_cover(dg.heart_module(C, j, cohC)).generators)  # cocycles (m, x)
         # x's blocks of F^{j+1}, one per earlier generator h, of width R.dim(j + 1 - s_h)
         ends = np.cumsum([M.dim(j)] + [R.dim(j + 1 - s) for s in sf.gen_degrees])
         for rep in reps.T:
@@ -112,7 +109,7 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
                     sf.twists[(h, g)] = rep[a:b].copy()
             sf.gen_degrees.append(j)
             sf.images.append((-rep[: M.dim(j)]) % p)
-        G = dg.free_module(R, [j] * top.dim)
+        G = dg.free_module(R, [j] * reps.shape[1])
         C = dg.cone_module(dg.free_map(G, C, list((-reps % p).T)))
     raise RuntimeError("semifree construction failed to reach the floor")
 

@@ -38,9 +38,13 @@ module's action table, and injective envelopes reach that memo through the
 dual over A^op.  No memo is process-wide: each lives and dies with its
 algebra.
 
-Freeness is read off the projective cover.  Over a split algebra
-top(A_A) = ⊕ S_i^{dim S_i}, so N is free of rank n iff it is projective
-with top multiplicities m_i = n dim S_i, which the cover records.
+Generators and freeness are read off the projective cover.  Over a split
+algebra top(A_A) = ⊕ S_i^{r_i}, r_i = dim S_i, so n elements generate N only
+if n r_i >= m_i, the multiplicity of S_i in top(N).  The cover records the
+n = max_i ⌈m_i / r_i⌉ generators Σ_i Σ_k v_{i, c r_i + k} . V_i[0][k], c < n,
+where the v_{i, j} lift a basis of top(N).e_i (zero past m_i) and V_i[x][y]
+are the matrix units of block i of A/rad; by Nakayama they span N.  So N is
+free iff n dim A = dim N, and then they are a free basis.
 
 The radical is computed with the trace-form method, which is valid whenever
 the characteristic exceeds the algebra dimension; this is checked at entry.
@@ -63,7 +67,6 @@ from .exactla import Subspace
 ROOT_SPLIT_TRIES = 64
 CENTRAL_SPLIT_TRIES = 40
 SIMPLE_EXTRACT_TRIES = 60
-FREE_BASIS_TRIES = 64
 
 
 class UnsplitFactorError(RuntimeError):
@@ -548,30 +551,39 @@ def simples(A: OrdinaryAlgebra) -> list[FDModule]:
     return mods
 
 
+def _matrix_units(A: OrdinaryAlgebra):
+    """Matrix units of each block of A/rad, one (r, r, dim A/rad) array per simple.
+
+    V[x][y] acts on the block's simple W as the map w_x -> w_y of its basis,
+    so V[a][b] V[c][d] = δ_bc V[a][d].  One solve per block: the block acts
+    on W faithfully, so each unit is unique.
+    """
+    if "units" not in A._cache:
+        simples(A)
+        units = []
+        for B, on_W in A._cache["blocks"]:
+            # column y*w + x of the solve is the element sending w_x to w_y
+            w = on_W.shape[1]
+            cols = pull_back(on_W, B.basis.T, A.p).reshape(B.dim, w * w).T
+            sol = la.solve_many(cols, la.eye(w * w), A.p)
+            if sol is None:
+                raise UnsplitFactorError("no matrix units realize the block's action on its simple")
+            units.append(np.swapaxes(la.matmul(sol.T, B.basis, A.p).reshape(w, w, -1), 0, 1))
+        A._cache["units"] = units
+    return A._cache["units"]
+
+
 def _lift_idempotents(A: OrdinaryAlgebra):
-    """One primitive idempotent of A per simple, lifted from A/rad."""
+    """One primitive idempotent of A per simple, V[0][0] of its block lifted from A/rad."""
     if "prim_idem" in A._cache:
         return A._cache["prim_idem"]
-    simples(A)
     _, _, sect = semisimple_quotient(A)
     p = A.p
-    prims_bar = []
-    for B, on_W in A._cache["blocks"]:
-        # solve for e in uS acting on W as the projection onto the first
-        # basis vector; the block's basis acts on W along B.basis.T
-        w = on_W.shape[1]
-        target = la.zeros(w, w)
-        target[0, 0] = 1
-        cols = pull_back(on_W, B.basis.T, p).reshape(B.dim, w * w).T
-        sol = la.solve(cols, target.reshape(-1), p)
-        if sol is None:
-            raise UnsplitFactorError("no idempotent realizes the rank-one projection")
-        prims_bar.append((sol @ B.basis) % p)
     # lift each to A by the Newton iteration; the error a^2 - a lies in the
     # radical, so convergence is geometric in the nilpotency index
     lifted = []
-    for ebar in prims_bar:
-        a = la.matmul(sect, ebar, p)
+    for V in _matrix_units(A):
+        a = la.matmul(sect, V[0, 0], p)
         for _ in range(64):
             sq = A.multiply(a, a)
             if np.array_equal(sq, a):
@@ -602,6 +614,8 @@ class CoverData:
     # block multiplicities m_i, nonzero N only: P(N) = ⊕ P_i^{m_i} for a cover,
     # E(N) = ⊕ D(P_i)^{m_i} over the P_i of A^op for an envelope
     multiplicities: list[int] | None = None
+    # fewest generators of N as columns (projective covers only; module docstring)
+    generators: np.ndarray | None = None
 
 
 def projective_cover(N: FDModule) -> CoverData:
@@ -612,7 +626,7 @@ def projective_cover(N: FDModule) -> CoverData:
     """
     A, p = N.algebra, N.algebra.p
     if N.dim == 0:
-        return CoverData(zero_module(A), la.zeros(0, 0), la.span(la.zeros(0, 0), 0, p))
+        return CoverData(zero_module(A), la.zeros(0, 0), la.span(la.zeros(0, 0), 0, p), generators=la.zeros(0, 0))
     key = ("cover", N.dim, N.action.tobytes())
     if key not in A._cache:
         A._cache[key] = _build_cover(N)
@@ -623,6 +637,7 @@ def _build_cover(N: FDModule) -> CoverData:
     """projective_cover(N) without the memo."""
     A, p = N.algebra, N.algebra.p
     idems = _lift_idempotents(A)
+    _, _, sect = semisimple_quotient(A)
     top, proj_top = top_of(N)
     imgs = [la.span(top.action_of(e).T, top.dim, p) for e in idems]
     tops = np.concatenate([img.basis for img in imgs])
@@ -630,8 +645,9 @@ def _build_cover(N: FDModule) -> CoverData:
         raise RuntimeError("projective_cover: module has empty top")
     # vectors of N lifting the top vectors, one elimination for all of them
     lifts = la.solve_many(proj_top, tops.T, p)
-    pieces, maps, start = [], [], 0
-    for i, (e, img) in enumerate(zip(idems, imgs)):
+    n = max(-(-img.dim // len(V)) for img, V in zip(imgs, _matrix_units(A)))
+    pieces, maps, start, gens = [], [], 0, la.zeros(N.dim, n)
+    for i, (e, img, V) in enumerate(zip(idems, imgs, _matrix_units(A))):
         P, incl = projective_indecomposable(A, i)
         # v = lift . e_i in N.e_i, and e_i a -> v.a for the basis e_i a of P
         vs = la.matmul(N.action_of(e), lifts[:, start : start + img.dim], p)
@@ -639,11 +655,15 @@ def _build_cover(N: FDModule) -> CoverData:
         maps.append(np.transpose(images, (1, 2, 0)).reshape(N.dim, -1))
         pieces += [P] * img.dim
         start += img.dim
+        # generator c takes v_{c r + k} . V[0][k], k < r: the top copies c r .. c r + r - 1 of S_i
+        r = len(V)
+        padded = np.concatenate([vs, la.zeros(N.dim, n * r - img.dim)], axis=1).reshape(N.dim, n, r)
+        gens = (gens + np.einsum("kde,eck->dc", pull_back(N.action, la.matmul(sect, V[0].T, p), p), padded)) % p
     cover, _ = direct_sum(pieces)
     cover_map = np.concatenate(maps, axis=1) % p
     if la.rank(cover_map, p) != N.dim:
         raise RuntimeError("projective_cover: structure map is not surjective")
-    return CoverData(cover, cover_map, la.kernel(cover_map, p), [img.dim for img in imgs])
+    return CoverData(cover, cover_map, la.kernel(cover_map, p), [img.dim for img in imgs], gens)
 
 
 def injective_envelope(N: FDModule) -> CoverData:
@@ -674,46 +694,12 @@ def is_injective(N: FDModule) -> bool:
 def free_rank(N: FDModule, cover: CoverData | None = None):
     """Rank when N is free, else None.
 
-    N is free of rank n iff it is projective with top multiplicities
-    m_i = n dim S_i, those of A^n (module docstring).  `cover` is N's
-    projective cover when the caller already has it.
+    The cover's n generators span N, so N is free of rank n iff
+    n dim A = dim N (module docstring).  `cover` is N's projective cover
+    when the caller already has it.
     """
-    A = N.algebra
-    if N.dim == 0:
-        return 0
-    if N.dim % A.dim:
-        return None
-    n = N.dim // A.dim
-    cover = cover or projective_cover(N)
-    if cover.module.dim != N.dim:
-        return None
-    return n if all(m == n * S.dim for m, S in zip(cover.multiplicities, simples(A))) else None
-
-
-def free_basis(N: FDModule, cover: CoverData | None = None):
-    """Elements g_1..g_n with (a_c) -> sum g_c . a_c an isomorphism A^n -> N.
-
-    Returns None when N is not free.  For a free module a random generator
-    tuple works with probability close to 1 over a large field; the result is
-    certified by an exact rank computation, never assumed, and a RuntimeError
-    is raised when no tried tuple is certified.  `cover` is as for free_rank.
-    """
-    A, p = N.algebra, N.algebra.p
-    n = free_rank(N, cover)
-    if n is None:
-        return None
-    if n == 0:
-        return []
-    rng = np.random.default_rng(A.seed + 0x5EED)
-    for _ in range(FREE_BASIS_TRIES):
-        gens = [rng.integers(0, p, size=N.dim).astype(np.int64) for _ in range(n)]
-        cols = []
-        for g in gens:
-            for a in range(A.dim):
-                cols.append(la.matmul(N.action[a], g, p))
-        if la.rank(np.stack(cols, axis=1), p) == N.dim:
-            return gens
-    raise RuntimeError("free_basis: no certified free basis within the retry budget")
+    n = (cover or projective_cover(N)).generators.shape[1]
+    return n if n * N.algebra.dim == N.dim else None
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class StageInfo:
     term_rank: int  # generators of the free term (sppj); total dimension of the psi term (ifij)
     term_shift: int | None
     term_kind: str  # 'free' or 'psi'
-    minimal: str  # 'cover', 'free-minimal' or 'explicit' (sppj), 'envelope' (ifij)
+    minimal: str  # 'cover' (free top) or 'free-minimal' (fewest generators), 'explicit' (sppj); 'envelope'
     model_dims: dict
 
 
@@ -209,12 +209,10 @@ def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
             cert["action_map_dims"] = [int(src), int(tgt)]
             return False, cert
     cert["action_maps_bijective"] = True
-    gens = hk.free_basis(Q, cover)
-    if gens is not None:
-        n = len(gens)
+    n = hk.free_rank(Q, cover)
+    if n is not None:
         P = dg.free_module(M.algebra, [s] * n)
-        images = [coh.rep(s, g) for g in gens]
-        phi = dg.free_map(P, M, images)
+        phi = dg.free_map(P, M, list(coh.rep(s, cover.generators).T))
         if not dg.is_quasi_iso(phi):
             raise RuntimeError("membership criterion contradicted the quasi-isomorphism certificate")
         cert["free_rank"] = n
@@ -241,9 +239,10 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
 
     P is free with all generators in degree sup M; f is strict with
     H^sup(f) surjective; next_model is the cocone of f with its strict
-    projection g onto P; H(P) carries the H(R) action.  `generators` may
-    prescribe class coordinates of H^sup(M) explicitly (columns; zero
-    columns allowed).
+    projection g onto P; H(P) carries the H(R) action.  By default the
+    generators are the fewest that generate H^sup(M) over H0, as its
+    projective cover records them; `generators` may prescribe class
+    coordinates of H^sup(M) explicitly (columns; zero columns allowed).
     """
     R = M.algebra
     coh = coh or dg.cohomology(M)
@@ -253,19 +252,12 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
     Q = dg.heart_module(M, s, coh)
     mode = "explicit"
     if generators is None:
-        gens = hk.free_basis(Q)  # None unless H^sup is free
-        if gens is not None:
-            generators = np.stack(gens, axis=1) if gens else la.zeros(Q.dim, 0)
-            mode = "cover"
-        else:
-            top, proj_top = hk.top_of(Q)
-            generators = la.solve_many(proj_top, la.eye(top.dim), M.p)
-            mode = "free-minimal"
+        cover = hk.projective_cover(Q)
+        generators, mode = cover.generators, "free-minimal" if hk.free_rank(Q, cover) is None else "cover"
     generators = la.as_field(generators, M.p).reshape(Q.dim, -1)
     g_count = generators.shape[1]
     P = dg.free_module(R, [s] * g_count, label=f"R^{g_count}[{-s}]")
-    images = [coh.rep(s, generators[:, t]) for t in range(g_count)]
-    f = dg.free_map(P, M, images)
+    f = dg.free_map(P, M, list(coh.rep(s, generators).T))
     cohP = dg.free_cohomology(P)
     hmap = dg.cohomology_map(f, s, cohP, coh)
     if la.rank(hmap, M.p) != Q.dim:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,24 @@ def test_induced_hom_maps_match_loop_oracles(koszul, tri2, nilp2, k2, monkeypatc
             dv.hom_table_via_ifij(S, M, window=(0, 4))
     assert {name for name, _, _ in calls} == {"_pulled_back", "_pushed_forward"} and len(calls) > 10
     assert all(got.shape == want.shape and np.array_equal(got, want) for _, got, want in calls)
+
+
+def test_resolutions_adjoin_the_fewest_generators():
+    # over matrix(2), R = S0 + S0 is free of rank one and one generator covers S0
+    R = battery.builtin_algebra("matrix(2)", P)
+    assert dv.semifree(R.regular_module(), -6).ranks_by_degree() == {0: 1}
+    S, S0 = battery.heart_simple(R, 0), hk.simples(hk.heart_of(R).h0)[0]
+    res = rv.SppjResolution(S)
+    res.ensure(4)
+    assert [s.term_rank for s in res.infos] == [1, 1, 1, 1]
+    start = time.perf_counter()
+    table = dv.hom_table_via_sppj(S, S0, window=(0, 3))
+    assert time.perf_counter() - start < 1
+    assert table.dims == dv.rhom(S, dg.heart_embed(R, S0), (0, 3)).dims == {0: 1}
+    prod = battery.builtin_algebra("product(matrix(2),triangular(2))", P)
+    ranks = []
+    for i in range(3):
+        res = rv.SppjResolution(battery.heart_simple(prod, i))
+        res.ensure(4)
+        ranks.append([s.term_rank for s in res.infos])
+    assert ranks == [[1, 1, 1, 1], [1, 2, 2, 2], [1, 1, 1, 1]]

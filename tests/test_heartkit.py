@@ -205,8 +205,6 @@ def test_free_rank_and_basis():
     assert hk.free_rank(reg) == 1
     two, _ = hk.direct_sum([reg, reg])
     assert hk.free_rank(two) == 2
-    gens = hk.free_basis(two)
-    assert gens is not None and len(gens) == 2
     s = hk.simples(A)[0]
     assert hk.free_rank(s) is None
     # projective but not free
@@ -363,22 +361,6 @@ def free_rank_oracle(N):
     m_free = top_multiplicities_oracle(A, regular_module_oracle(A))
     m_n = top_multiplicities_oracle(A, N)
     return n if all(mn == n * mf for mn, mf in zip(m_n, m_free)) else None
-
-
-def free_basis_oracle(N):
-    A, p = N.algebra, N.algebra.p
-    n = free_rank_oracle(N)
-    if n is None:
-        return None
-    if n == 0:
-        return []
-    rng = np.random.default_rng(A.seed + 0x5EED)
-    for _ in range(64):
-        gens = [rng.integers(0, p, size=N.dim).astype(np.int64) for _ in range(n)]
-        cols = [la.matmul(N.action[a], g, p) for g in gens for a in range(A.dim)]
-        if la.rank(np.stack(cols, axis=1), p) == N.dim:
-            return gens
-    return None
 
 
 def restrict_to_r0_oracle(hd, N):
@@ -544,9 +526,6 @@ def test_submodules_quotients_and_freeness_match_oracles(ordinary):
         rad = hk.radical(A)
         for N in heart_inputs(A):
             assert hk.free_rank(N) == free_rank_oracle(N)
-            gens, gens_o = hk.free_basis(N), free_basis_oracle(N)
-            assert (gens is None) == (gens_o is None)
-            assert gens is None or (len(gens) == len(gens_o) and all(map(same, gens, gens_o)))
             if N.dim == 0:
                 continue
             assert hk.projective_cover(N).multiplicities == top_multiplicities_oracle(A, N)
@@ -565,6 +544,24 @@ def test_submodules_quotients_and_freeness_match_oracles(ordinary):
             q, proj = hk.quotient_module(N, nrad, label="t")
             q_o, proj_o = quotient_module_oracle(N, nrad, label="t")
             assert same_module(q, q_o) and same(proj, proj_o)
+
+
+def test_cover_generators_are_the_fewest_that_generate(ordinary):
+    # n = max ceil(m_i / dim S_i) columns that span N as a module; sums of
+    # r + 1 copies of a simple of dim r need a second, partly empty generator
+    matrix3 = hk.heart_of(battery.builtin_algebra("matrix(3)", P)).h0
+    checked = 0
+    for A in {id(A): A for A in ordinary + [matrix2(), matrix3]}.values():
+        sims = hk.simples(A)
+        extra = [hk.direct_sum([S] * (S.dim + 1))[0] for S in sims]
+        for N in heart_inputs(A) + extra:
+            gens = hk.projective_cover(N).generators
+            fewest = max(-(-m // S.dim) for m, S in zip(top_multiplicities_oracle(A, N), sims))
+            assert gens.shape == (N.dim, fewest)
+            assert hk.submodule(N, list(gens.T))[0].dim == N.dim
+            assert hk.free_rank(N) == free_rank_oracle(N)
+            checked += 1
+    assert checked == 242
 
 
 def test_restrict_to_r0_and_pi_shriek_match_oracles(dg_algebras):

@@ -34,9 +34,8 @@ def semifree_oracle(M, floor):
             sf.free, sf.augmentation = F, eps
             return sf
         j = cohC.sup
-        top, proj_top = hk.top_of(dg.heart_module(C, j, cohC))
-        lifts = la.solve_many(proj_top, la.eye(top.dim), p)
-        for t in range(top.dim):
+        lifts = hk.projective_cover(dg.heart_module(C, j, cohC)).generators
+        for t in range(lifts.shape[1]):
             rep = cohC.rep(j, lifts[:, t])  # cocycle in C^j = M^j + F^{j+1}
             m_part, x_part = rep[: M.dim(j)], rep[M.dim(j) :]
             g_new = len(sf.gen_degrees)
@@ -83,18 +82,16 @@ def same_resolution(a, b):
     )
 
 
-def modules(name, R):
+def modules(R):
     """Heart simples, a shifted simple, an acyclic cone, the cone of
-    e -> b for b the last basis vector of R^0, R and m_of(1); matrix(2)'s
-    R and m_of(1) take four generators per rank and are left out.  The cone
-    of e -> b has cocycles with parts on both M and the newest generators,
-    so it tells the coupling -rep from +rep."""
+    e -> b for b the last basis vector of R^0, R and m_of(1).  The cone of
+    e -> b has cocycles with parts on both M and the newest generators, so
+    it tells the coupling -rep from +rep."""
     sims = [battery.heart_simple(R, i) for i in range(len(hk.simples(hk.heart_of(R).h0)))]
     C, _, _ = dg.cone(dg.identity_morphism(R.regular_module()))
     b = la.eye(R.dim(0))[-1]
     times_b = dg.cone_module(dg.free_map(dg.free_module(R, [0]), R.regular_module(), [b]))
-    out = sims + [dg.shift(sims[0], 2), C, times_b]
-    return out if name == "matrix2" else out + [R.regular_module(), battery.m_of(R, 1)]
+    return sims + [dg.shift(sims[0], 2), C, times_b, R.regular_module(), battery.m_of(R, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +102,12 @@ def algs(algebras, k2):
 def test_semifree_matches_the_rebuilding_oracle(algs):
     checked = 0
     for name, R in algs.items():
-        # below -3 the free-minimal generator counts over matrix(2) and
-        # triangular(4) grow by a factor of three per degree
-        floors = (0, -1, -3) if name in ("matrix2", "triangular4") else (0, -1, -3, -5)
-        for M in modules(name, R):
-            for floor in floors:
+        for M in modules(R):
+            for floor in (0, -1, -3, -5):
                 got, want = dv.semifree(M, floor), semifree_oracle(M, floor)
                 assert same_resolution(got, want), (name, M.label, floor)
                 checked += 1
-    assert checked == 215
+    assert checked == 236
 
 
 def test_semifree_of_an_acyclic_module_is_empty(k2):

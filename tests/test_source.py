@@ -85,3 +85,23 @@ def test_only_free_map_reads_block_offsets():
         if isinstance(node, ast.Attribute) and node.attr == "_offsets" and isinstance(node.ctx, ast.Load)
     ]
     assert found == []
+
+
+def test_only_simples_draws_random_numbers():
+    # splitting A/rad in heartkit.simples is the one randomised step, so the
+    # generators every resolution adjoins are chosen deterministically
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("heartkit.py", "simples")
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "default_rng" in (getattr(node, "attr", None), getattr(node, "id", None)) and id(node) not in allowed
+        ]
+    assert found == []
