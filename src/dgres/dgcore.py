@@ -393,7 +393,9 @@ class CohomologyData:
         z = la.as_field(z, self.p)
         Z = self.cycle_basis.get(i)
         if Z is None:
-            return np.zeros((self.dim(i),) + z.shape[1:], dtype=np.int64)
+            if self.dim(i):
+                raise ValueError(f"degree {i} has classes but no cycle basis to project onto")
+            return np.zeros((0,) + z.shape[1:], dtype=np.int64)
         coords = z[Z.pivots]
         if np.any(z != la.matmul(Z.basis.T, coords, self.p)):
             raise ValueError(f"vector is not a cocycle in degree {i}")
@@ -476,13 +478,18 @@ def cohomology_map(f: DGMorphism, i: int, coh_src: CohomologyData, coh_tgt: Coho
 
 def heart_module(M: DGModule, i: int, coh: CohomologyData | None = None) -> hk.FDModule:
     """H^i(M) as a right module over H0 = H0(R)."""
-    hd = hk.heart_of(M.algebra)
-    coh = coh or cohomology(M)
+    return heart_classes(M.algebra, i, coh or cohomology(M), f"H^{i}({M.label})")
+
+
+def heart_classes(R: DGAlgebra, i: int, coh: CohomologyData, label: str) -> hk.FDModule:
+    """Degree i of the cohomology data coh of an R-module, as a right
+    H0(R)-module; it reads only coh.dims and coh.action[(i, 0)]."""
+    hd = hk.heart_of(R)
     h = coh.dim(i)
     # H0 basis classes are exactly cohR's degree-zero classes; action[b] = t[:, b, :].T
     t = coh.action.get((i, 0), np.zeros((h, hd.h0.dim, h), dtype=np.int64))
     action = np.transpose(t, (1, 2, 0)).copy()
-    return hk.FDModule(hd.h0, h, action, label=f"H^{i}({M.label})")
+    return hk.FDModule(hd.h0, h, action, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1012,37 @@ def dualize(M: DGModule) -> DGModule:
             sign = -1 if (j * (i + 1)) % 2 else 1
             act[(i, j)] = (sign * np.transpose(tM, (2, 1, 0))) % p
     return DGModule(op, dims, diff, act, label=f"D({M.label})")
+
+
+def dual_cohomology(M: DGModule, coh: CohomologyData) -> CohomologyData:
+    """H(D M) over the opposite algebra, read off coh = H(M) with no elimination.
+
+    D is exact, so H^{-i}(D M) = D H^i(M), and the window is coh's negated.
+    The representatives of H^{-i}(D M) are the rows of class_proj[i] placed
+    at the pivot columns of Z^i: functionals on M^i that send a cycle to its
+    class coordinates.  They vanish on B^i, so they are cocycles of D M, and
+    they are the basis dual to reps[i].  H(R^op) has H(R)'s representatives,
+    as R^op has R's differential.  Evaluating f_q . r_b on reps[i] gives the
+    action: with a = -(i + j),
+
+        action[(a, j)][q, b, c] = (-1)^{j(a+1)} coh.action[(i, j)][c, b, q],
+
+    the sign (-1)^{|r|(|f|+1)} with which dualize lets R^op act.  No cycle
+    basis is kept, so project raises on every degree that has classes.
+    """
+    p = coh.p
+    dims, reps = {}, {}
+    for i, h in coh.dims.items():
+        if h:
+            f = la.zeros(h, M.dim(i))
+            f[:, coh.cycle_basis[i].pivots] = coh.class_proj[i]
+            dims[-i], reps[-i] = h, np.ascontiguousarray(f.T)
+    action = {}
+    for (i, j), t in coh.action.items():
+        sign = -1 if (j * (1 - i - j)) % 2 else 1
+        action[(-i - j, j)] = (sign * np.transpose(t, (2, 1, 0))) % p
+    lo, hi = coh.window
+    return CohomologyData(p, dims, reps, {}, {}, action, window=(-hi, -lo))
 
 
 def double_dual_map(M: DGModule) -> DGMorphism:

@@ -610,7 +610,6 @@ def projective_indecomposable(A: OrdinaryAlgebra, i: int) -> tuple[FDModule, np.
 class CoverData:
     module: FDModule
     map: np.ndarray  # cover -> N for projective covers, N -> envelope for injective
-    kernel: Subspace | None
     # block multiplicities m_i, nonzero N only: P(N) = ⊕ P_i^{m_i} for a cover,
     # E(N) = ⊕ D(P_i)^{m_i} over the P_i of A^op for an envelope
     multiplicities: list[int] | None = None
@@ -624,9 +623,9 @@ def projective_cover(N: FDModule) -> CoverData:
     Memoised on the algebra by N's action tensor; the result is shared and
     must not be modified.
     """
-    A, p = N.algebra, N.algebra.p
+    A = N.algebra
     if N.dim == 0:
-        return CoverData(zero_module(A), la.zeros(0, 0), la.span(la.zeros(0, 0), 0, p), generators=la.zeros(0, 0))
+        return CoverData(zero_module(A), la.zeros(0, 0), generators=la.zeros(0, 0))
     key = ("cover", N.dim, N.action.tobytes())
     if key not in A._cache:
         A._cache[key] = _build_cover(N)
@@ -663,7 +662,7 @@ def _build_cover(N: FDModule) -> CoverData:
     cover_map = np.concatenate(maps, axis=1) % p
     if la.rank(cover_map, p) != N.dim:
         raise RuntimeError("projective_cover: structure map is not surjective")
-    return CoverData(cover, cover_map, la.kernel(cover_map, p), [img.dim for img in imgs], gens)
+    return CoverData(cover, cover_map, [img.dim for img in imgs], gens)
 
 
 def injective_envelope(N: FDModule) -> CoverData:
@@ -680,7 +679,7 @@ def injective_envelope(N: FDModule) -> CoverData:
     emb = cd.map.T.copy() % A.p  # D of the cover map, via the evaluation iso
     if la.rank(emb, A.p) != N.dim:
         raise RuntimeError("injective_envelope: structure map is not injective")
-    return CoverData(env, emb, None, cd.multiplicities)
+    return CoverData(env, emb, cd.multiplicities)
 
 
 def is_projective(N: FDModule) -> bool:

@@ -45,7 +45,11 @@ prescribed map on Z^t/B^t extends to M^t/B^t.  Membership in the shifted
 psi class is decided by k-duality: D(psi(E)) = R (x)_{R0} D(E) is a summand
 of a free R^op-module, and D is an exact duality on finite-dimensional
 DG-modules, so M lies in the class iff D(M) passes the projective criterion
-over R^op.
+over R^op.  The criterion reads only cohomology, and H^i(D M) = D H^{-i}(M)
+is the transpose of H(M): dg.dual_cohomology builds it from the classes the
+resolution already holds, with no elimination.  D(M) itself is built only
+for the certificate, when the top of D(M) is free and the quasi-isomorphism
+from a free module is checked on it.
 
 The terms are block sums of memoised pieces.  The R0-envelope is K =
 ⊕ E_i^{m_i} over the indecomposable R0-injectives E_i, and psi is
@@ -168,11 +172,11 @@ def _action_map_ranges(R, cohM, s):
     return range(0, max(-lo_r, s - lo_m) + 1)
 
 
-def _action_map(M, cohM, s, i):
+def _action_map(R, cohM, s, i):
     """The map H^sup(M) (x)_{H0} H^{-i}(R) -> H^{sup-i}(M) and its source dim."""
-    p = M.p
-    cohR = dg.algebra_cohomology(M.algebra)
-    hd = hk.heart_of(M.algebra)
+    p = R.p
+    cohR = dg.algebra_cohomology(R)
+    hd = hk.heart_of(R)
     q, v = cohM.dim(s), cohR.dim(-i)
     tgt = cohM.dim(s - i)
     if q == 0 or v == 0:
@@ -188,39 +192,57 @@ def _action_map(M, cohM, s, i):
     return mat, proj.shape[0]
 
 
-def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
-    """Is M a shift of a direct summand of a coproduct of R, with certificate."""
-    coh = coh or dg.cohomology(M)
+def _projective_criterion(R, coh, label):
+    """The graded criterion on the cohomology data coh of an R-module with
+    the given label: (member, certificate, cover of H^sup).
+
+    It reads only coh's dims and the action maps out of its top degree, so
+    it runs on H(M) and on dg.dual_cohomology alike.  A member's
+    certificate records the free rank of its top, None when the top is
+    projective but not free.
+    """
     if coh.is_acyclic():
         raise ValueError("membership is undefined for the zero object")
     s = coh.sup
-    Q = dg.heart_module(M, s, coh)
+    Q = dg.heart_classes(R, s, coh, f"H^{s}({label})")
     cert = {"sup": s, "h_sup_dim": Q.dim}
     cover = hk.projective_cover(Q)
     if cover.module.dim != Q.dim:
         cert["h_sup_projective"] = False
-        return False, cert
+        return False, cert, cover
     cert["h_sup_projective"] = True
-    for i in _action_map_ranges(M.algebra, coh, s):
-        mat, src = _action_map(M, coh, s, i)
+    for i in _action_map_ranges(R, coh, s):
+        mat, src = _action_map(R, coh, s, i)
         tgt = coh.dim(s - i)
-        if src != tgt or (src and la.rank(mat, M.p) != src):
+        if src != tgt or (src and la.rank(mat, R.p) != src):
             cert["action_map_failure_degree"] = i
             cert["action_map_dims"] = [int(src), int(tgt)]
-            return False, cert
+            return False, cert, cover
     cert["action_maps_bijective"] = True
-    n = hk.free_rank(Q, cover)
-    if n is not None:
-        P = dg.free_module(M.algebra, [s] * n)
-        phi = dg.free_map(P, M, list(coh.rep(s, cover.generators).T))
-        if not dg.is_quasi_iso(phi):
-            raise RuntimeError("membership criterion contradicted the quasi-isomorphism certificate")
-        cert["free_rank"] = n
-        cert["quasi_iso_certified"] = True
-    else:
-        cert["free_rank"] = None
+    cert["free_rank"] = hk.free_rank(Q, cover)
+    if cert["free_rank"] is None:
         cert["note"] = "projective non-free top; membership certified by the graded criterion"
-    return True, cert
+    return True, cert, cover
+
+
+def _certify_free(M, coh, cert, cover):
+    """Certify a member with free top directly: the free module on the
+    cover's generators maps to M by a quasi-isomorphism."""
+    s = cert["sup"]
+    P = dg.free_module(M.algebra, [s] * cert["free_rank"])
+    phi = dg.free_map(P, M, list(coh.rep(s, cover.generators).T))
+    if not dg.is_quasi_iso(phi):
+        raise RuntimeError("membership criterion contradicted the quasi-isomorphism certificate")
+    cert["quasi_iso_certified"] = True
+
+
+def membership_P(M: dg.DGModule, coh: dg.CohomologyData | None = None):
+    """Is M a shift of a direct summand of a coproduct of R, with certificate."""
+    coh = coh or dg.cohomology(M)
+    ok, cert, cover = _projective_criterion(M.algebra, coh, M.label)
+    if ok and cert["free_rank"] is not None:
+        _certify_free(M, coh, cert, cover)
+    return ok, cert
 
 
 def membership_F(M: dg.DGModule, coh: dg.CohomologyData | None = None):
@@ -349,13 +371,17 @@ def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
 def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     """Is M a shift of a psi-type DG-injective, with certificate.
 
-    Decided by k-duality as membership_P of D(M) over R^op (module
-    docstring).  H^i(D M) = D H^{-i}(M), so a given H(M) = `coh` confines
-    the cohomology of D(M) to the window [-sup M, -inf M].
+    Decided by k-duality as the projective criterion for D(M) over R^op
+    (module docstring), run on H(D M) as dg.dual_cohomology reads it off
+    H(M) = `coh`.  D(M) itself is built only when the criterion holds with
+    a free top, to certify the quasi-isomorphism onto it.
     """
-    DM = dg.dualize(M)
-    ok, dual = membership_P(DM, None if coh is None else dg.cohomology(DM, window=(-coh.sup, -coh.inf)))
-    return ok, {"inf": -dual["sup"], "dual_membership_P": dual}
+    coh = coh or dg.cohomology(M)
+    dual = dg.dual_cohomology(M, coh)
+    ok, cert, cover = _projective_criterion(M.algebra.opposite(), dual, f"D({M.label})")
+    if ok and cert["free_rank"] is not None:
+        _certify_free(dg.dualize(M), dual, cert, cover)
+    return ok, {"inf": -cert["sup"], "dual_membership_P": cert}
 
 
 # ---------------------------------------------------------------------------

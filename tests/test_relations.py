@@ -200,10 +200,10 @@ def tensor_over_h0_oracle(Q, L):
     return proj.shape[0], proj, sect
 
 
-def action_map_oracle(M, cohM, s, i):
-    p = M.p
-    cohR = dg.algebra_cohomology(M.algebra)
-    hd = hk.heart_of(M.algebra)
+def action_map_oracle(R, cohM, s, i):
+    p = R.p
+    cohR = dg.algebra_cohomology(R)
+    hd = hk.heart_of(R)
     q, v = cohM.dim(s), cohR.dim(-i)
     tgt = cohM.dim(s - i)
     if q == 0 or v == 0:

@@ -38,7 +38,6 @@ def same_cover(c, d):
     return (
         same_module(c.module, d.module)
         and same(c.map, d.map)
-        and same_subspace(c.kernel, d.kernel)
         and c.multiplicities == d.multiplicities
     )
 
