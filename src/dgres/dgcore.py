@@ -28,10 +28,14 @@ diff[i] is stored iff i and i + 1 are degrees of the sum, act[(i, j)] iff
 i and i + j are.  free_module (the R[-s_g], plus twists), cone_module
 (N and M[1], plus f) and psi_sum (copies of psi pieces) are block sums, and
 block_sum_cohomology assembles H of one whose d couples no two parts.
+free_module and psi_sum record their parts in DGModule.parts, which
+free_map and the strict map into a psi term read; cone_module records none,
+so no model keeps the models before it alive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -152,16 +156,12 @@ class DGModule(Graded):
     diff: dict[int, np.ndarray]
     act: dict[tuple[int, int], np.ndarray]
     label: str = ""
-    # a free module's generator degrees, block offsets (degree, generator)
-    # -> first basis index, and twists; set by free_module
-    _gen_degrees: list[int] | None = field(default=None, repr=False, compare=False)
-    _offsets: dict | None = field(default=None, repr=False, compare=False)
-    _twists: dict | None = field(default=None, repr=False, compare=False)
-    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K; a
-    # term built by psi_sum also keeps its pieces (psi(E_i), m_i) in block order
+    # the (X_g, n_g) a free module or a psi sum is the block sum of (module
+    # docstring); set by free_module and psi_sum only
+    parts: list | None = field(default=None, repr=False, compare=False)
+    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K; set by psi
     _psi_spaces: dict | None = field(default=None, repr=False, compare=False)
     _psi_K: hk.FDModule | None = field(default=None, repr=False, compare=False)
-    _psi_pieces: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -667,7 +667,8 @@ def block_sum_cohomology(R: DGAlgebra, parts: list) -> CohomologyData:
     coh = CohomologyData(p, {}, {}, {}, {})
     for i in sorted({i - n for H, n in parts for i in H.cycle_basis}):
         Zs = [H.cycle_basis.get(i + n, empty) for H, n in parts]
-        pivots = _stacked_pivots([Z.ambient_dim for Z in Zs], [Z.pivots for Z in Zs])
+        offsets = itertools.accumulate((Z.ambient_dim for Z in Zs), initial=0)
+        pivots = [o + c for o, Z in zip(offsets, Zs) for c in Z.pivots]
         coh.cycle_basis[i] = la.Subspace(p, sum(Z.ambient_dim for Z in Zs), _block_diag([Z.basis for Z in Zs]), pivots)
         if h := sum(H.dim(i + n) for H, n in parts):
             coh.dims[i] = h
@@ -695,16 +696,6 @@ def _block_diag(parts) -> np.ndarray:
     return out
 
 
-def _stacked_pivots(widths, pivot_lists) -> list[int]:
-    """The pivots of a block-diagonal basis: each block's, past the widths of
-    the blocks before it."""
-    out, off = [], 0
-    for w, piv in zip(widths, pivot_lists):
-        out += [off + c for c in piv]
-        off += w
-    return out
-
-
 def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None, label="") -> DGModule:
     """The block sum of R[-s_g] over generator degrees s_g (module
     docstring), with optional lower-triangular twists: twists[(h, g)] is an
@@ -712,9 +703,9 @@ def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None
     added into d.  Without twists this is a plain free module.
     """
     p = R.p
-    twists = twists or {}
-    F, offs = block_sum(R, [(R.regular_module(), -s) for s in gen_degrees])
-    for (h, g), z in twists.items():
+    parts = [(R.regular_module(), -s) for s in gen_degrees]
+    F, offs = block_sum(R, parts)
+    for (h, g), z in (twists or {}).items():
         s, zdeg = gen_degrees[g], gen_degrees[g] + 1 - gen_degrees[h]
         for k in R.degrees():
             # d(e_g . b) includes e_h . (z b) for b in R^k, in degree s + k
@@ -724,35 +715,29 @@ def free_module(R: DGAlgebra, gen_degrees: list[int], twists: dict | None = None
                 blk = F.diff[s + k][r0 : r0 + rows, c0 : c0 + R.dim(k)]
                 blk[...] = (blk + R.left_mult_matrix(z, zdeg, k)) % p
     F.label = label or f"free{gen_degrees}"
-    F._gen_degrees, F._offsets, F._twists = gen_degrees, offs, twists
+    F.parts = parts
     return F
 
 
-def free_cohomology(P: DGModule) -> CohomologyData:
-    """H(P) for an untwisted free P = R^n[-s], a block sum (module
-    docstring): block_sum_cohomology of n copies of H(R) shifted by -s."""
-    if P._gen_degrees is None or P._twists:
-        raise ValueError(f"free_cohomology: {P.label} is not an untwisted free module")
-    degs = set(P._gen_degrees)
-    if len(degs) > 1:
-        raise ValueError(f"free_cohomology: {P.label} has generators in degrees {sorted(degs)}")
-    H = algebra_cohomology(P.algebra)
-    return block_sum_cohomology(P.algebra, [(H, -s) for s in P._gen_degrees])
+def free_cohomology(R: DGAlgebra, s: int, n: int) -> CohomologyData:
+    """H(R^n[-s]), a block sum (module docstring): block_sum_cohomology of
+    n copies of H(R) shifted by -s."""
+    return block_sum_cohomology(R, [(algebra_cohomology(R), -s)] * n)
 
 
 def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
-    """The R-linear map F -> M with e_g . b -> images[g] . b."""
+    """The R-linear map F -> M with e_g . b -> images[g] . b, for F =
+    free_module(R, s_g): part g is (R, -s_g), and in degree i its block
+    starts past the R^{i - s_h} of the parts h before it."""
     p = F.p
-    R = F.algebra
     blocks = {}
     for i in F.degrees():
-        b = la.zeros(M.dim(i), F.dim(i))
-        for g, s in enumerate(F._gen_degrees):
-            nb = R.dim(i - s)
-            if nb == 0 or M.dim(i) == 0:
-                continue
-            c0 = F._offsets[(i, g)]
-            b[:, c0 : c0 + nb] = np.einsum("x,xtc->ct", la.as_field(images[g], p), M.act_tensor(s, i - s)) % p
+        b, c0 = la.zeros(M.dim(i), F.dim(i)), 0
+        for (X, n), image in zip(F.parts, images):
+            nb = X.dim(i + n)
+            if nb and M.dim(i):
+                b[:, c0 : c0 + nb] = np.einsum("x,xtc->ct", la.as_field(image, p), M.act_tensor(-n, i + n)) % p
+            c0 += nb
         blocks[i] = b
     return DGMorphism(F, M, blocks)
 
@@ -950,22 +935,14 @@ def psi_sum(R: DGAlgebra, multiplicities: list[int], n: int) -> tuple[DGModule, 
     the row-major vectorisation, so Hom_{R0}(R^{-i}, K) is the sum of the
     pieces' spaces on those chunks and its RREF basis is their bases
     concatenated, pivots offset by the chunk.  So the result equals, bit
-    for bit, psi(R, K) shifted by n and its cohomology.  It is a fresh
-    module that keeps the pieces as (psi(E_i), m_i) pairs in _psi_pieces.
+    for bit, psi(R, K) shifted by n and its cohomology, and a map into it
+    has, copy by copy, the coordinates of its piece's spaces.  It is a
+    fresh module whose parts are the copies (psi(E_i), n) in block order.
     """
-    p = R.p
-    pieces = [(psi_piece(R, i), m) for i, m in enumerate(multiplicities) if m]
-    copies = [pc for pc, m in pieces for _ in range(m)]
-    mods = [X for X, _ in copies]
-    I, _ = block_sum(R, [(X, n) for X in mods])
-    K, _ = hk.direct_sum([X._psi_K for X in mods])
-    spaces = {}
-    for i, sp in mods[0]._psi_spaces.items():
-        sps = [X._psi_spaces[i] for X in mods]
-        pivots = _stacked_pivots([X._psi_K.dim * sp.cols for X in mods], [s.pivots for s in sps])
-        spaces[i] = la.MapSpace(p, K.dim, sp.cols, _block_diag([s.basis for s in sps]), pivots)
-    I.label = f"psi(K)[{n}]"
-    I._psi_spaces, I._psi_K, I._psi_pieces = spaces, K, [(X, m) for (X, _), m in pieces]
+    copies = [psi_piece(R, i) for i, m in enumerate(multiplicities) for _ in range(m)]
+    parts = [(X, n) for X, _ in copies]
+    I, _ = block_sum(R, parts)
+    I.label, I.parts = f"psi(K)[{n}]", parts
     return I, block_sum_cohomology(R, [(H, n) for _, H in copies])
 
 

@@ -3,9 +3,9 @@
 This is the engine for the degree-zero world: the zeroth cohomology algebra
 H0 of a connective DG-algebra and the degree-zero subalgebra R0.  Everything
 a resolution step needs from the abelian heart lives here: Jacobson radical,
-the list of simple modules, projective covers, injective envelopes, the
-functor sending an R0-module K to the H0-submodule killed by the
-0-boundaries, and split-map tests.
+the list of simple modules, projective covers and injective envelopes.
+pi_shriek, the functor sending an R0-module K to the H0-submodule killed by
+the 0-boundaries, is H^0 of psi(K); tests check that, and no step calls it.
 
 Conventions: a right module of dimension d over an algebra of dimension n
 stores its action as an (n, d, d) array, action[a] being the matrix of right

@@ -51,18 +51,25 @@ resolution already holds, with no elimination.  D(M) itself is built only
 for the certificate, when the top of D(M) is free and the quasi-isomorphism
 from a free module is checked on it.
 
+K is the R0-envelope of Q = H^t(M) itself, and phi takes the hull Q -> K
+on the representatives.  R0 acts on Q through R0 ↠ H0, which maps rad R0
+onto rad H0, so Q and its H0-envelope have one socle over R0, hence one
+R0-envelope: no H0-envelope is built.
+
 The terms are block sums of memoised pieces.  The R0-envelope is K =
 ⊕ E_i^{m_i} over the indecomposable R0-injectives E_i, and psi is
 additive, so dg.psi_sum copies psi(E_i) and H(psi E_i), built once per
 algebra by dg.psi_piece, into the block-diagonal term and its cohomology,
-bit for bit what psi(K) and cohomology would build.  The strict-map solve
-decouples the same way without changing its answer.  Every linearity
-row and every prescribed-value row involves the unknowns phi|E of one
-block only, so the RREF of the whole system is the union of the blocks'
-RREFs, its pivots are the union of theirs, and the particular solution
-(free unknowns zero) is the blocks' solutions stacked.  Copies of one E_i
-share their rows, so each piece type is one solve with a right-hand side
-per copy.
+bit for bit what psi(K) and cohomology would build; the term's parts are
+the copies.  The strict-map solve decouples the same way without changing
+its answer.  Every linearity row and every prescribed-value row involves
+the unknowns phi|E of one block only, so the RREF of the whole system is
+the union of the blocks' RREFs, its pivots are the union of theirs, and
+the particular solution (free unknowns zero) is the blocks' solutions
+stacked.  Copies of one E_i share their rows, so each piece type is one
+solve with a right-hand side per copy, and each copy's blocks of f are
+read in its piece's spaces, which psi(K)'s spaces hold at contiguous row
+chunks.
 
 The cohomology of each new model is computed only where it can be nonzero.
 Along sppj the term P_i = R^n[-s] lies in degrees <= s = sup M_i, and
@@ -85,6 +92,7 @@ inf and acyclicity are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -280,7 +288,7 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
     g_count = generators.shape[1]
     P = dg.free_module(R, [s] * g_count, label=f"R^{g_count}[{-s}]")
     f = dg.free_map(P, M, list(coh.rep(s, generators).T))
-    cohP = dg.free_cohomology(P)
+    cohP = dg.free_cohomology(R, s, g_count)
     hmap = dg.cohomology_map(f, s, cohP, coh)
     if la.rank(hmap, M.p) != Q.dim:
         raise ValueError("chosen generators do not surject onto the top cohomology")
@@ -297,13 +305,15 @@ def _strict_map_to_psi(M, I, t, cohM, values):
     that vanishes on B^t(M) and sends z_q to values[:, q]; such a phi exists
     because K is injective over R0 (module docstring).  phi is solved block
     by block of K = ⊕ E_i^{m_i}, one system per piece E_i whose right-hand
-    sides are its copies' prescribed values.
+    sides are its copies' prescribed values, and each copy's blocks of f are
+    read in the coordinates of its piece's spaces (dg.psi_sum).
     """
     p = M.p
     n, nb = M.dim(t), M.dim(t - 1)
     fixed = np.concatenate([M.diff_mat(t - 1), cohM.reps[t]], axis=1)
-    phis, r = [], 0
-    for piece, copies in I._psi_pieces:
+    blocks, r = {}, 0
+    for _, group in itertools.groupby(I.parts, key=lambda part: id(part[0])):
+        piece, copies = next(group)[0], 1 + sum(1 for _ in group)
         E = piece._psi_K
         k = E.dim
         # unknowns: phi on E as a (k, n) matrix, row-major.  kron(1, fixed.T) prescribes phi on the
@@ -316,27 +326,24 @@ def _strict_map_to_psi(M, I, t, cohM, values):
         sol = la.solve_many(rows, rhs, p)
         if sol is None:
             raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
-        phis.append(sol.T.reshape(copies * k, n))
-    phi = np.concatenate(phis)
-    spaces = I._psi_spaces
-    blocks = {}
-    for j in M.degrees():
-        sp = spaces.get(j - t)
-        if sp is None or sp.dim == 0:
-            continue
-        # f_j(m) : R^{t-j} -> K,  s -> phi(m s)
-        maps = np.einsum("kc,msc->mks", phi, M.act_tensor(j, t - j)) % p
-        blocks[j] = sp.coords(maps).T
-    return dg.DGMorphism(M, I, blocks)
+        phi = sol.T.reshape(copies, k, n)
+        for j in M.degrees():
+            sp = piece._psi_spaces.get(j - t)
+            if sp is None or sp.dim == 0:
+                continue
+            # f_j(m) : R^{t-j} -> E,  s -> phi(m s), for each copy
+            maps = np.einsum("gkc,msc->mgks", phi, M.act_tensor(j, t - j)) % p
+            blocks.setdefault(j, []).append(sp.coords(maps).reshape(M.dim(j), -1).T)
+    return dg.DGMorphism(M, I, {j: np.concatenate(bs) for j, bs in blocks.items()})
 
 
 def _psi_target(R, J: hk.FDModule, t: int):
-    """I = psi(R, K)[-t] and H(I) for the R0-envelope K = E_{R0}(J), and the hull J -> K.
+    """I = psi(R, K)[-t] and H(I) for the R0-envelope K = E_{R0}(J) of an
+    H0-module J, and the hull J -> K.
 
     Returns (I, H(I), hull).  K = ⊕ E_i^{m_i} with the envelope's
     multiplicities, so I and H(I) are block copies of memoised pieces
-    (dg.psi_sum), and I keeps K, psi's component spaces and the pieces for
-    _strict_map_to_psi.
+    (dg.psi_sum), and I's parts are those copies for _strict_map_to_psi.
     """
     hull = hk.injective_envelope(hk.restrict_to_r0(hk.heart_of(R), J))
     I, cohI = dg.psi_sum(R, hull.multiplicities, -t)
@@ -357,9 +364,8 @@ def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
         raise ValueError("the zero object admits no inf-injective morphism")
     t = coh.inf
     Q = dg.heart_module(M, t, coh)
-    env = hk.injective_envelope(Q)
-    I, cohI, hull = _psi_target(R, env.module, t)
-    f = _strict_map_to_psi(M, I, t, coh, la.matmul(hull.map, env.map, M.p))
+    I, cohI, hull = _psi_target(R, Q, t)
+    f = _strict_map_to_psi(M, I, t, coh, hull.map)
     hmap = dg.cohomology_map(f, t, coh, cohI)
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
@@ -467,7 +473,6 @@ class SppjResolution(Resolution):
     """Sup-projective stages: f_i : P_i -> M_i, g_{i+1} : M_{i+1} -> P_i."""
 
     edge_name = "sup"
-    sup_term = Resolution.edge
 
     def _step(self, M, **options):
         return sppj_step(M, **options)
@@ -477,7 +482,6 @@ class IfijResolution(Resolution):
     """Inf-injective stages: f_i : M_i -> I_{-i}, g_i : I_{-i} -> M_{i+1}."""
 
     edge_name = "inf"
-    inf_term = Resolution.edge
 
     def _step(self, M, **options):
         return ifij_step(M, **options)

@@ -179,7 +179,10 @@ def test_free_modules_match_the_oracle(algs):
             got = dg.free_module(R, degs, twists=twists)
             want, offs = free_module_oracle(R, degs, twists)
             assert reads_the_same(got, want) and keeps_the_rule(got), (name, degs)
-            assert got._offsets == offs and got._gen_degrees == degs, (name, degs)
+            assert [n for _, n in got.parts] == [-s for s in degs], (name, degs)
+            assert all(X is R.regular_module() for X, _ in got.parts), (name, degs)
+            # free_map's running sums of X.dim(i + n) are the oracle's block offsets
+            assert all(o == sum(X.dim(i + n) for X, n in got.parts[:g]) for (i, g), o in offs.items()), (name, degs)
             twisted += bool(twists)
     assert twisted >= 5
 

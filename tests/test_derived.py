@@ -170,7 +170,7 @@ def test_slot_arithmetic(koszul):
     rv.pd(M, cap=8, resolution=res)
     slots = []
     for i in range(len(res.terms)):
-        s = res.sup_term(i)
+        s = res.edge(i)
         if s is None:
             break
         slots.append(i - s)

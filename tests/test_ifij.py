@@ -1,5 +1,6 @@
 """The inf-injective side: stage maps built through the coinduction
-adjunction, and a pinned injdim over the two-variable Koszul algebra."""
+adjunction, one R0-envelope per stage, and a pinned injdim over the
+two-variable Koszul algebra."""
 
 import time
 
@@ -47,3 +48,40 @@ def test_injdim_heart_simple_over_k2_cap5(k2):
     assert [(s.edge, s.term_rank) for s in rep.stages] == [(0, 16), (1, 32), (2, 48), (3, 64), (4, 80)]
     assert rep.certificate["stage_bound"] == 10
     assert elapsed < 1.0, f"injdim cap 5 took {elapsed:.2f} s"
+
+
+def two_step_multiplicities(R, Q):
+    """The R0-envelope multiplicities by the former route: the H0-envelope
+    E of Q first, then the R0-envelope of E restricted along R0 ↠ H0."""
+    hd = hk.heart_of(R)
+    return hk.injective_envelope(hk.restrict_to_r0(hd, hk.injective_envelope(Q).module)).multiplicities
+
+
+def test_one_r0_envelope_per_ifij_stage(algebras, k2, monkeypatch):
+    # R0 acts on Q = H^inf(M) through R0 ↠ H0, which maps rad R0 onto rad H0,
+    # so Q and its H0-envelope have one socle over R0, hence one R0-envelope
+    envelope, calls = hk.injective_envelope, []
+
+    def counted(N):
+        calls.append(envelope(N))
+        return calls[-1]
+
+    algs = dict(algebras, triangular4=battery.builtin_algebra("triangular(4)", P), K2=k2)
+    stages = []
+    for R in algs.values():
+        for A in (R, R.opposite()):
+            h0 = hk.heart_of(A).h0
+            for M in [A.regular_module()] + [dg.heart_embed(A, N) for N in hk.simples(h0) + [hk.regular_module(h0)]]:
+                calls.clear()
+                monkeypatch.setattr(hk, "injective_envelope", counted)
+                res = rv.IfijResolution(M)
+                res.ensure(3)
+                monkeypatch.undo()
+                assert len(calls) == len(res.terms), (A.label, M.label)
+                for i, hull in enumerate(calls):
+                    t = res.cohs[i].inf
+                    stages.append((A, dg.heart_module(res.models[i], t, res.cohs[i]), hull))
+    # 22 of the 94 tops are not H0-injective, where the two routes part
+    assert len(stages) >= 90 and sum(not hk.is_injective(Q) for _, Q, _ in stages) >= 20
+    for A, Q, hull in stages:
+        assert hull.multiplicities == two_step_multiplicities(A, Q), (A.label, Q.label)

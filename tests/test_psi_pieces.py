@@ -2,10 +2,12 @@
 
 dg.psi_sum assembles psi(R, K)[n] and its cohomology from copies of
 psi(R, E_i) and H(psi E_i); both must equal, bit for bit, what dg.psi and
-dg.cohomology build for the whole envelope K.  The strict map into such a
-term is solved once per piece type and must equal the single-system solve
-over all of K, kept here as a test-only oracle.  The pieces are memoised on
-the algebra and must survive every use unchanged.
+dg.cohomology build for the whole envelope K, and psi(R, K)'s spaces must be
+the pieces' spaces block by block.  The strict map into such a term is
+solved once per piece type and must equal the single-system solve over all
+of K, with K and its spaces from dg.psi(R, K), kept here as a test-only
+oracle.  The pieces are memoised on the algebra and must survive every use
+unchanged.
 """
 
 import numpy as np
@@ -68,10 +70,10 @@ def test_assembled_terms_equal_psi_and_cohomology(algs):
                 want = dg.shift(whole, -t)
                 assert I.dims == want.dims and same_arrays(I.diff, want.diff), (name, J.label, t)
                 assert same_arrays(I.act, want.act), (name, J.label, t)
-                assert np.array_equal(I._psi_K.action, hull.module.action), (name, J.label)
-                assert I._psi_spaces.keys() == whole._psi_spaces.keys()
+                copies = [dg.psi_piece(R, i)[0] for i, m in enumerate(hull.multiplicities) for _ in range(m)]
+                assert [(id(X), n) for X, n in I.parts] == [(id(X), -t) for X in copies], (name, J.label, t)
                 for i, sp in whole._psi_spaces.items():
-                    got = I._psi_spaces[i]
+                    got = pieces_space([X._psi_spaces[i] for X in copies])
                     assert (got.rows, got.cols, got.pivots) == (sp.rows, sp.cols, sp.pivots), (name, J.label, i)
                     assert np.array_equal(got.basis, sp.basis), (name, J.label, i)
                 assert same_cohomology(cohI, dg.cohomology(want)), (name, J.label, t)
@@ -82,10 +84,22 @@ def test_assembled_terms_equal_psi_and_cohomology(algs):
     assert repeated >= 10 and mixed >= 5
 
 
-def strict_map_single_system(M, I, t, cohM, values):
-    """phi solved as one system over all of K, then adjoined."""
+def pieces_space(spaces):
+    """The block sum of the pieces' MapSpaces on contiguous row chunks: block-
+    diagonal bases, each piece's pivots past the chunks before it."""
+    basis = np.zeros((sum(sp.dim for sp in spaces), sum(sp.rows * sp.cols for sp in spaces)), dtype=np.int64)
+    pivots, r, c = [], 0, 0
+    for sp in spaces:
+        basis[r : r + sp.dim, c : c + sp.rows * sp.cols] = sp.basis
+        pivots += [c + q for q in sp.pivots]
+        r, c = r + sp.dim, c + sp.rows * sp.cols
+    return la.MapSpace(P, sum(sp.rows for sp in spaces), spaces[0].cols, basis, pivots)
+
+
+def strict_map_single_system(M, I, t, cohM, values, K, spaces):
+    """phi solved as one system over all of K, then adjoined; K and its
+    spaces are those of dg.psi(R, K)."""
     p = M.p
-    K, spaces = I._psi_K, I._psi_spaces
     n, k = M.dim(t), K.dim
     rows, right = la.relations(np.swapaxes(K.action, 0, 1), M.act_tensor(t, 0), p)
     rows += right
@@ -105,21 +119,29 @@ def strict_map_single_system(M, I, t, cohM, values):
 
 
 def test_strict_maps_equal_the_single_system_solve(algs, monkeypatch):
-    calls, strict_map = [], rv._strict_map_to_psi
+    # each strict map's arguments and value, with the hull its target was built from
+    calls, hulls, strict_map, psi_target = [], [], rv._strict_map_to_psi, rv._psi_target
+
+    def record_target(*args):
+        out = psi_target(*args)
+        hulls.append(out[2])
+        return out
 
     def record(*args):
-        calls.append((args, strict_map(*args)))
+        calls.append((args, strict_map(*args), hulls[-1]))
         return calls[-1][1]
 
+    monkeypatch.setattr(rv, "_psi_target", record_target)
     monkeypatch.setattr(rv, "_strict_map_to_psi", record)
     for R in algs.values():
         for J in heart_sums(R):
             rv.IfijResolution(dg.heart_embed(R, J)).ensure(2)
     monkeypatch.undo()
-    pieces = [[m for _, m in args[1]._psi_pieces] for args, _ in calls]
+    pieces = [[m for m in hull.multiplicities if m] for _, _, hull in calls]
     assert sum(max(ms) >= 2 for ms in pieces) >= 10 and sum(len(ms) >= 2 for ms in pieces) >= 5
-    for args, f in calls:
-        want = strict_map_single_system(*args)
+    for args, f, hull in calls:
+        whole = dg.psi(args[0].algebra, hull.module)
+        want = strict_map_single_system(*args, whole._psi_K, whole._psi_spaces)
         assert same_arrays(f.blocks, want.blocks), args[1].label
 
 

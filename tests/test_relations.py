@@ -217,9 +217,8 @@ def action_map_oracle(R, cohM, s, i):
     return la.matmul(t.reshape(q * v, tgt).T, sect, p), proj.shape[0]
 
 
-def strict_map_to_psi_oracle(M, I, t, cohM, values):
+def strict_map_to_psi_oracle(M, I, t, cohM, values, K, spaces):
     p = M.p
-    K, spaces = I._psi_K, I._psi_spaces
     n, k = M.dim(t), K.dim
     rows = [
         np.kron(la.eye(k), right_mult(M.act_tensor(t, 0), b).T) - np.kron(K.action[b], la.eye(n))
@@ -379,18 +378,24 @@ def test_psi_spaces_match_oracle(algs):
 
 
 def test_action_maps_and_psi_stage_maps_match_oracles(algs, monkeypatch):
-    action_calls, psi_calls = [], []
-    action_map, strict_map = rv._action_map, rv._strict_map_to_psi
+    action_calls, psi_calls, hulls = [], [], []
+    action_map, strict_map, psi_target = rv._action_map, rv._strict_map_to_psi, rv._psi_target
 
     def record_action(*args):
         action_calls.append((args, action_map(*args)))
         return action_calls[-1][1]
 
+    def record_target(*args):
+        out = psi_target(*args)
+        hulls.append(out[2])
+        return out
+
     def record_psi(*args):
-        psi_calls.append((args, strict_map(*args)))
+        psi_calls.append((args, strict_map(*args), hulls[-1]))
         return psi_calls[-1][1]
 
     monkeypatch.setattr(rv, "_action_map", record_action)
+    monkeypatch.setattr(rv, "_psi_target", record_target)
     monkeypatch.setattr(rv, "_strict_map_to_psi", record_psi)
     for R in algs.values():
         for M in modules(R):
@@ -400,7 +405,9 @@ def test_action_maps_and_psi_stage_maps_match_oracles(algs, monkeypatch):
     for args, (mat, src) in action_calls:
         want_mat, want_src = action_map_oracle(*args)
         assert src == want_src and np.array_equal(mat, want_mat)
-    for args, f in psi_calls:
-        want = strict_map_to_psi_oracle(*args)
+    for args, f, hull in psi_calls:
+        # K and its spaces from psi of the whole envelope
+        whole = dg.psi(args[0].algebra, hull.module)
+        want = strict_map_to_psi_oracle(*args, whole._psi_K, whole._psi_spaces)
         assert f.blocks.keys() == want.blocks.keys()
         assert all(np.array_equal(f.blocks[j], want.blocks[j]) for j in want.blocks)

@@ -43,7 +43,7 @@ def semifree_oracle(M, floor):
                 nb = R.dim(j + 1 - sh)
                 if nb == 0:
                     continue
-                off = F._offsets[(j + 1, h)]
+                off = sum(X.dim(j + 1 + n) for X, n in F.parts[:h])
                 z = x_part[off : off + nb]
                 if np.any(z):
                     sf.twists[(h, g_new)] = z.copy()

@@ -73,17 +73,26 @@ def test_relations_are_laid_out_by_one_builder():
     assert found == []
 
 
-def test_only_free_map_reads_block_offsets():
-    # a free module's generator blocks are located through free_map alone, so
-    # a change of block representation has one reader of _offsets to move
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(fn, ast.FunctionDef) and fn.name != "free_map"
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute) and node.attr == "_offsets" and isinstance(node.ctx, ast.Load)
-    ]
+def test_only_two_readers_of_block_parts():
+    # a free module's or a psi sum's blocks are located through free_map and
+    # _strict_map_to_psi alone, so a change of block representation has
+    # these two readers of .parts to move
+    readers = {("dgcore.py", "free_map"), ("resolve.py", "_strict_map_to_psi")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in readers
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "parts" and isinstance(node.ctx, ast.Load)
+            and id(node) not in allowed
+        ]
     assert found == []
 
 
