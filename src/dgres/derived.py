@@ -9,7 +9,10 @@ three-term complex of Hom_{H0}(H^sup(P_*), N) spaces, with the kernel,
 cokernel or middle-cohomology case keyed on the equality pattern of
 adjacent stage sups.  Tor tables use the tensor analogue with slots
 n = -i + s_i, and inf-injective resolutions give the Hom tables with a
-heart source at slots n = i + inf I_{-i}.
+heart source at slots n = i + inf I_{-i}.  Stage i's edge is sup or inf
+of H(M_i), known before T_i is built; the walk stops at the first slot
+past the window, and only the stages in the window and their equal-edge
+neighbours have T_i and its group built.
 
 Every functor takes an explicit finite window; the semifree construction
 takes a floor deep enough that the window is unaffected by truncating the
@@ -155,16 +158,23 @@ class InsufficientStagesError(RuntimeError):
 def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int]:
     """Nonzero dimensions at the slots in window, read off the stages of res.
 
-    Stage i with edge e = res.edge(i) sits at slot(i, e).  group(Q) is
-    (dim, ...) for the group of the stage's heart module Q = H^e(T_i).
-    When stages i-1 and i share their edge, induced(alpha, G, H) is the map
-    of groups induced by alpha = H^e(res.delta(i)), where G and H are the
-    groups of delta's source and target stage.  A slot's group is the middle
-    cohomology of the three-term complex through its stage, whose outer maps
-    exist between stages of equal edge only, so for every route and either
-    direction of the maps
+    Stage i sits at slot(i, e) with e = res.edge(i), sup or inf of H(M_i),
+    which the resolution holds before T_i is built.  Slots move strictly one
+    way along the stages, so the walk stops at the first stage whose slot
+    is past the window.  stage_cap bounds the stages before that one: the
+    walk raises when the window needs a stage past index stage_cap.
+    group(Q) is (dim, ...) for the group of the stage's heart module
+    Q = H^e(T_i).  When stages i-1 and i share their edge, induced(alpha, G,
+    H) is the map of groups induced by alpha = H^e(res.delta(i)), where G
+    and H are the groups of delta's source and target stage.  A slot's group
+    is the middle cohomology of the three-term complex through its stage,
+    whose outer maps exist between stages of equal edge only, so for every
+    route and either direction of the maps
 
         dim_i - rank(trans_i) [e_{i-1} = e_i] - rank(trans_{i+1}) [e_{i+1} = e_i].
+
+    It reads nothing else, so T_i, its group and delta are built only for
+    the stages in the window and their equal-edge neighbours.
     """
     a, b = window
     if res.cohs[0].is_acyclic():
@@ -174,29 +184,26 @@ def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int
     while (e := res.edge(len(edges))) is not None:
         i, n = len(edges), slot(len(edges), e)
         edges.append(e)
-        if (n > b + 1) if up else (n < a - 1):
+        if (n > b) if up else (n < a):
             break
         if i > stage_cap:
             raise InsufficientStagesError("extend resolution: stage cap reached before covering the window")
-    groups = [group(dg.heart_module(res.terms[i], e, res.term_cohs[i])) for i, e in enumerate(edges)]
+    inside = [i for i, e in enumerate(edges) if a <= slot(i, e) <= b]
+    pairs = [i for i in range(1, len(edges)) if edges[i - 1] == edges[i] and {i - 1, i} & set(inside)]
+    built = sorted(set(inside) | {j for i in pairs for j in (i - 1, i)})
+    res.ensure(max(built, default=-1) + 1)
+    groups = {i: group(dg.heart_module(res.terms[i], edges[i], res.term_cohs[i])) for i in built}
     trans = {}
-    for i in range(1, len(edges)):
-        if edges[i - 1] == edges[i]:
-            src, tgt = (i, i - 1) if res.edge_name == "sup" else (i - 1, i)
-            alpha = dg.cohomology_map(res.delta(i), edges[i], res.term_cohs[src], res.term_cohs[tgt])
-            trans[i] = induced(alpha, groups[src], groups[tgt])
+    for i in pairs:
+        src, tgt = (i, i - 1) if res.edge_name == "sup" else (i - 1, i)
+        alpha = dg.cohomology_map(res.delta(i), edges[i], res.term_cohs[src], res.term_cohs[tgt])
+        trans[i] = induced(alpha, groups[src], groups[tgt])
     p = res.base.p
     dims = {}
-    for i, e in enumerate(edges):
-        n = slot(i, e)
-        if not a <= n <= b:
-            continue
-        next_eq = res.edge(i + 1) == e
-        if next_eq and i + 1 == len(edges):
-            raise InsufficientStagesError("extend resolution: neighbour stage missing")
-        val = groups[i][0] - (la.rank(trans[i], p) if i in trans else 0) - (la.rank(trans[i + 1], p) if next_eq else 0)
+    for i in inside:
+        val = groups[i][0] - sum(la.rank(trans[j], p) for j in (i, i + 1) if j in trans)
         if val:
-            dims[n] = val
+            dims[slot(i, edges[i])] = val
     return dims
 
 

@@ -454,11 +454,13 @@ class Resolution:
             self.length = i
 
     def edge(self, i: int):
-        """The edge of T_i, or None when T_i = 0 (past the terminated length)."""
-        self.ensure(i + 1)
-        if self.length is not None and i > self.length:
+        """The edge of stage i, sup or inf of H(M_i), which infos[i].edge
+        holds once stage i is built; None when M_i is acyclic or lies past
+        the terminated length, so that T_i = 0.  Builds stages < i only."""
+        self.ensure(i)
+        if i >= len(self.cohs) or self.cohs[i].is_acyclic():
             return None
-        return self.infos[i].edge
+        return getattr(self.cohs[i], self.edge_name)
 
     def delta(self, i: int) -> dg.DGMorphism:
         """The spliced map between T_i and T_{i-1}, in the resolution's direction."""
