@@ -1,7 +1,10 @@
 """Derived Hom and tensor functors on bounded windows, three ways.
 
-Route one resolves the source by a semifree DG-module and applies the
-strict Hom or tensor complex.  Routes two and three read the same
+Route one resolves the source by a semifree DG-module F and reads the
+tensor complex off its generators: (F ⊗_R L)^n = ⊕_g L^{n - s_g}, with d_L
+on each block and the twists acting between blocks, so no balance relation
+is solved.  Hom goes through the same complex by k-duality, Hom_R(F, N) =
+D(F ⊗_R D N).  Routes two and three read the same
 dimensions off a sup-projective or inf-injective resolution through the
 slot formulas: with s_i = sup P_i the group Hom(M, N[n]) vanishes unless
 n = i - s_i for some stage i, and at a slot it is computed from the
@@ -58,15 +61,38 @@ TorTable = HomTable
 @dataclass
 class SemifreeResolution:
     """A free DG-module with a filtration-compatible differential and a
-    quasi-isomorphism onto the target above the floor."""
+    quasi-isomorphism onto the target above the floor.
+
+    The generators, twists and images define F and the augmentation, which
+    are built on first read: no table needs them."""
 
     module: dg.DGModule  # the resolved module
     floor: int
     gen_degrees: list[int] = field(default_factory=list)
     twists: dict = field(default_factory=dict)  # (h, g) -> R-vector, h earlier than g
     images: list = field(default_factory=list)  # augmentation images of the generators
-    free: dg.DGModule | None = None
-    augmentation: dg.DGMorphism | None = None
+    _free: dg.DGModule | None = field(default=None, init=False, repr=False)
+    _augmentation: dg.DGMorphism | None = field(default=None, init=False, repr=False)
+
+    @property
+    def free(self) -> dg.DGModule:
+        if self._free is None:
+            self._free = dg.free_module(self.module.algebra, self.gen_degrees, twists=self.twists, label="F")
+        return self._free
+
+    @free.setter
+    def free(self, F: dg.DGModule):
+        self._free = F
+
+    @property
+    def augmentation(self) -> dg.DGMorphism:
+        if self._augmentation is None:
+            self._augmentation = dg.free_map(self.free, self.module, self.images)
+        return self._augmentation
+
+    @augmentation.setter
+    def augmentation(self, eps: dg.DGMorphism):
+        self._augmentation = eps
 
     def ranks_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -87,21 +113,19 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
     twist d(e) = x, as the F[1] block of a cone carries -d_F.  An acyclic M
     gets the empty free module, whose Hom and tensor complexes vanish.
 
-    H(C) is computed on [floor + 1, j] only: j is M.hi() in the first round
-    and afterwards the degree just killed.  Generators in degree j change C
-    in degrees <= j only, so nothing survives above j, and degrees <= floor
-    are never read.
+    H(C) is computed one degree at a time, top-down from M.hi() to
+    floor + 1, and each degree once.  The generators of H^j over H0 map
+    onto it and H^{j+1}(R) = 0, so by the long exact sequence the new cone
+    has no cohomology in degrees >= j, and the scan goes on at j - 1.
+    Degrees <= floor are never read, so a kill at floor + 1 builds no cone.
     """
     R, p = M.algebra, M.p
     sf = SemifreeResolution(M, floor)
-    C, j = M, M.hi()
-    for _ in range(max(j - floor, 0) + 1):  # each round lowers j, and j > floor
-        cohC = dg.cohomology(C, window=(floor + 1, j))
-        if cohC.is_acyclic():
-            sf.free = dg.free_module(R, sf.gen_degrees, twists=sf.twists, label="F")
-            sf.augmentation = dg.free_map(sf.free, M, sf.images)
-            return sf
-        j = cohC.sup
+    C = M
+    for j in range(M.hi(), floor, -1):
+        cohC = dg.cohomology(C, window=(j, j))
+        if not cohC.dim(j):
+            continue
         reps = cohC.rep(j, hk.projective_cover(dg.heart_module(C, j, cohC)).generators)  # cocycles (m, x)
         # x's blocks of F^{j+1}, one per earlier generator h, of width R.dim(j + 1 - s_h)
         ends = np.cumsum([M.dim(j)] + [R.dim(j + 1 - s) for s in sf.gen_degrees])
@@ -112,9 +136,10 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
                     sf.twists[(h, g)] = rep[a:b].copy()
             sf.gen_degrees.append(j)
             sf.images.append((-rep[: M.dim(j)]) % p)
-        G = dg.free_module(R, [j] * reps.shape[1])
-        C = dg.cone_module(dg.free_map(G, C, list((-reps % p).T)))
-    raise RuntimeError("semifree construction failed to reach the floor")
+        if j > floor + 1:
+            G = dg.free_module(R, [j] * reps.shape[1])
+            C = dg.cone_module(dg.free_map(G, C, list((-reps % p).T)))
+    return sf
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +148,54 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
 
 def rhom(M: dg.DGModule, N: dg.DGModule, window: tuple[int, int],
          resolution: SemifreeResolution | None = None) -> HomTable:
-    """Per-degree dimensions of H^n RHom(M, N) for n in the window."""
-    return _semifree_table(M, N, window, resolution, N.lo() - window[1] - 2, dg.hom_complex)
+    """Per-degree dimensions of H^n RHom(M, N) for n in the window.
+
+    Hom_R(F, N) = D(F ⊗_R D N) by k-duality, so H^n is the dual of
+    H^{-n}(F ⊗_R D N): the Tor table of D N on the negated window, which
+    asks for the same floor N.lo() - window[1] - 2."""
+    a, b = window
+    tor = ltensor(M, dg.dualize(N), (-b, -a), resolution)
+    return HomTable(window, {n: tor.dim(-n) for n in range(a, b + 1) if tor.dim(-n)}, "semifree")
 
 
 def ltensor(M: dg.DGModule, L: dg.DGModule, window: tuple[int, int],
             resolution: SemifreeResolution | None = None) -> TorTable:
     """Per-degree dimensions of H^n (M ⊗^L L) for n in the window; L is a
     right module over the opposite algebra."""
-    return _semifree_table(M, L, window, resolution, window[0] - L.hi() - 2, dg.tensor_complex)
-
-
-def _semifree_table(M, N, window, resolution, floor, complex_of) -> HomTable:
-    """H^n of complex_of(F, N) for n in the window, F a semifree resolution
-    of M whose floor is at most the given one."""
-    if not N.degrees():
-        return HomTable(window, {}, "semifree")
+    if not L.degrees():
+        return TorTable(window, {}, "semifree")
+    floor = window[0] - L.hi() - 2
     if resolution is None:
         resolution = semifree(M, floor)
     elif resolution.floor > floor:
-        raise ValueError(f"semifree floor {resolution.floor} is too shallow for window {window}")
-    coh = dg.cohomology(complex_of(resolution.free, N, window=window), with_action=False, window=window)
-    return HomTable(window, {n: coh.dim(n) for n in range(window[0], window[1] + 1) if coh.dim(n)}, "semifree")
+        raise ValueError(f"semifree floor {resolution.floor} is too shallow: the window needs {floor}")
+    coh = dg.cohomology(_generator_complex(resolution, L, window), with_action=False, window=window)
+    return TorTable(window, {n: coh.dim(n) for n in range(window[0], window[1] + 1) if coh.dim(n)}, "semifree")
+
+
+def _generator_complex(sf: SemifreeResolution, L: dg.DGModule, window: tuple[int, int]) -> dg.KComplex:
+    """F ⊗_R L in the window widened by one degree, read off the generators
+    of F with no elimination: degree n is ⊕_g L^{n - s_g}, blocks in
+    generator order.  d(e_g ⊗ l) = d(e_g) ⊗ l + (-1)^{s_g} e_g ⊗ d l, and the
+    twist z of d(e_g) moves to l as e_h z ⊗ l = (-1)^{|z||l|} e_h ⊗ (l *op z)."""
+    s, p = sf.gen_degrees, L.p
+    degs = range(window[0] - 1, window[1] + 2)
+    offs = {n: np.cumsum([0] + [L.dim(n - sg) for sg in s]) for n in degs}
+    dims = {n: int(o[-1]) for n, o in offs.items() if o[-1]}
+    diff = {}
+    for n in degs[:-1]:
+        if n not in dims or n + 1 not in dims:
+            continue
+        d, src, tgt = la.zeros(dims[n + 1], dims[n]), offs[n], offs[n + 1]
+        for g, sg in enumerate(s):
+            d[tgt[g] : tgt[g + 1], src[g] : src[g + 1]] = (-1) ** (sg % 2) * L.diff_mat(n - sg)
+        for (h, g), z in sf.twists.items():
+            t, zdeg = n - s[g], s[g] + 1 - s[h]
+            if L.dim(t) and L.dim(t + zdeg):
+                blk = np.einsum("xby,b->yx", L.act_tensor(t, zdeg), z) % p
+                d[tgt[h] : tgt[h + 1], src[g] : src[g + 1]] += (-1) ** (zdeg * t % 2) * blk
+        diff[n] = d % p
+    return dg.KComplex(p, dims, diff, label=f"F⊗({L.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +228,6 @@ def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int
     the stages in the window and their equal-edge neighbours.
     """
     a, b = window
-    if res.cohs[0].is_acyclic():
-        return {}
     up = slot(1, 0) > slot(0, 0)  # slots rise along sppj and ifij, fall along spft
     edges = []
     while (e := res.edge(len(edges))) is not None:

@@ -4,8 +4,6 @@ This is the engine for the degree-zero world: the zeroth cohomology algebra
 H0 of a connective DG-algebra and the degree-zero subalgebra R0.  Everything
 a resolution step needs from the abelian heart lives here: Jacobson radical,
 the list of simple modules, projective covers and injective envelopes.
-pi_shriek, the functor sending an R0-module K to the H0-submodule killed by
-the 0-boundaries, is H^0 of psi(K); tests check that, and no step calls it.
 
 Conventions: a right module of dimension d over an algebra of dimension n
 stores its action as an (n, d, d) array, action[a] being the matrix of right
@@ -750,17 +748,3 @@ def heart_of(R) -> HeartData:
 def restrict_to_r0(hd: HeartData, N: FDModule) -> FDModule:
     """An H0-module viewed as an R0-module along R0 ↠ H0."""
     return FDModule(hd.r0, N.dim, pull_back(N.action, hd.project, hd.r0.p), label=N.label)
-
-
-def pi_shriek(hd: HeartData, K: FDModule) -> tuple[FDModule, Subspace]:
-    """The H0-module {k in K : k . B0 = 0}, with its subspace inside K.
-
-    For K injective over R0 the result is injective over H0.  B0 acts as
-    zero on it, so H0 acts along the section hd.lift.
-    """
-    p = hd.r0.p
-    if K.dim == 0:
-        return zero_module(hd.h0), la.span(la.zeros(0, 0), 0, p)
-    ann = la.kernel(pull_back(K.action, hd.boundaries.basis.T, p).reshape(-1, K.dim), p)
-    action = restrict(pull_back(K.action, hd.lift, p), ann, "pi_shriek")
-    return FDModule(hd.h0, ann.dim, action, label=f"pi!({K.label})"), ann

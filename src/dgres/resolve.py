@@ -417,19 +417,24 @@ class Resolution:
         self.maps: list[dg.DGMorphism] = []
         self.gs: list[dg.DGMorphism] = []
         self.infos: list[StageInfo] = []
-        self.length: int | None = None  # set when a model becomes acyclic
+        # the stage whose next model is acyclic, once one is; -1 for an acyclic M_0
+        self.length: int | None = -1 if self.cohs[0].is_acyclic() else None
 
     def _step(self, M, **options):
         """The stage function, called through its module attribute."""
         raise NotImplementedError
 
     def model(self, i: int) -> dg.DGModule:
-        self.ensure(i)
-        return self.models[i]
+        return self.models[self._built(i)]
 
     def coh(self, i: int) -> dg.CohomologyData:
+        return self.cohs[self._built(i)]
+
+    def _built(self, i: int) -> int:
         self.ensure(i)
-        return self.cohs[i]
+        if i >= len(self.models):
+            raise IndexError(f"model {i} lies past the last model of a resolution of length {self.length}")
+        return i
 
     def ensure(self, i: int):
         while len(self.terms) < i and self.length is None:

@@ -13,6 +13,7 @@ from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
 from dgres import textio
+from test_heartkit import pi_shriek
 
 P = 32003
 
@@ -448,7 +449,7 @@ def test_psi_h0_is_pi_shriek(algebras):
         assert hk.is_injective(K)
         I = dg.psi(R, K)
         assert dg.validate_module(I) == [], name
-        pi_mod, _ = hk.pi_shriek(hd, K)
+        pi_mod, _ = pi_shriek(hd, K)
         assert dg.cohomology(I, with_action=False).dim(0) == pi_mod.dim, name
 
 

@@ -19,6 +19,7 @@ from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
+from conftest import generated_module
 
 P = 32003
 K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
@@ -118,26 +119,6 @@ def test_project_refuses_the_dual_classes(algebras):
 
 
 NAMES = sorted(battery.battery_algebras(P)) + ["K2"]
-
-
-def generated_module(data, R):
-    """A heart simple, R, or R + R[n], then up to two shifts or cones of a
-    free map onto a random cocycle."""
-    sims = len(hk.simples(hk.heart_of(R).h0))
-    M = data.draw(st.sampled_from([R.regular_module(), battery.m_of(R, 1), battery.m_of(R, 2)]
-                                  + [battery.heart_simple(R, i) for i in range(sims)]))
-    for _ in range(data.draw(st.integers(0, 2))):
-        if data.draw(st.booleans()):
-            M = dg.shift(M, data.draw(st.integers(-2, 2)))
-            continue
-        cycles = {i: Z for i, Z in dg.cohomology(M, with_action=False).cycle_basis.items() if Z.dim}
-        if not cycles:
-            continue
-        s = data.draw(st.sampled_from(sorted(cycles)))
-        coeffs = data.draw(st.lists(st.integers(0, P - 1), min_size=cycles[s].dim, max_size=cycles[s].dim))
-        z = la.matmul(cycles[s].basis.T, np.array(coeffs, dtype=np.int64), P)
-        M = dg.cone_module(dg.free_map(dg.free_module(R, [s]), M, [z]))
-    return M
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -67,6 +67,21 @@ def test_edge_is_read_off_the_model_and_ends_past_the_length(algebras):
     assert res.edge(0) == 0 and res.edge(1) is None and res.length == 0
 
 
+def test_an_acyclic_module_ends_at_construction_and_no_model_lies_past_the_length(algebras):
+    field = algebras["field"]
+    C, _, _ = dg.cone(dg.identity_morphism(field.regular_module()))
+    for res in (rv.SppjResolution(C), rv.IfijResolution(C)):
+        assert res.length == -1 and res.model(0) is C and res.coh(0).is_acyclic()
+        assert [res.edge(i) for i in range(4)] == [None] * 4 and res.terms == []
+        for read in (res.model, res.coh):
+            with pytest.raises(IndexError, match="model 1 lies past the last model of a resolution of length -1"):
+                read(1)
+    res = rv.SppjResolution(field.regular_module())
+    assert res.coh(1).is_acyclic() and res.length == 0
+    with pytest.raises(IndexError, match="model 3 lies past the last model of a resolution of length 0"):
+        res.model(3)
+
+
 def test_the_stage_cap_counts_the_stages_the_window_needs(nilp2):
     # over the dual numbers heart(S0) has one stage per slot, so the window
     # (0, 6) reads stages 0..6 and the walk stops at stage 7's edge

@@ -1,12 +1,15 @@
 """Cohomology computed only in a window of degrees.
 
-Resolution models and semifree cones get their cohomology on the side of
-an edge that the exact triangle proves; inside the window every field must
-equal the full computation bit for bit, and outside it the full computation
-must show nothing that the window hides.  The cohomology of a model's dual
+Resolution models get their cohomology on the side of an edge that the
+exact triangle proves, and semifree cones one degree at a time from the
+top; inside the window every field must equal the full computation bit for
+bit, and outside it (above it, for a cone) the full computation must show
+nothing that the window hides.  The cohomology of a model's dual
 is read off the model's window by transpose and must be the full H(D M) in
 another basis.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -108,24 +111,30 @@ def test_resolution_models_and_duals_match_the_full_cohomology(algebras, k2):
 
 
 def test_semifree_cones_and_derived_complexes_match_the_full_cohomology(k2, monkeypatch):
+    # rhom reads the tensor complex of D N on the negated window
     S, L = battery.heart_simple(k2, 0), battery.heart_simple(k2.opposite(), 0)
-    top = dg.cohomology(S).sup
-    for run, window, floor in ((lambda: dv.rhom(S, S, (0, 7)), (0, 7), S.lo() - 7 - 2),
+    for run, window, floor in ((lambda: dv.rhom(S, S, (0, 7)), (-7, 0), S.lo() - 7 - 2),
                                (lambda: dv.ltensor(S, L, (-7, 0)), (-7, 0), -7 - L.hi() - 2)):
         calls = spy_cohomology(monkeypatch)
         run()
         monkeypatch.undo()
         cones = [(X, out) for X, w, out in calls if w is not None and isinstance(X, dg.DGModule)]
         complexes = [(X, out) for X, w, out in calls if isinstance(X, dg.KComplex)]
-        assert len(cones) >= 5 and len(complexes) == 1
-        # each round's window ends at the degree the round before killed
-        hi = top
+        assert len(complexes) == 1
+        # one degree per call, top-down from M.hi() to floor + 1, each degree once
+        assert all(out.window[0] == out.window[1] for _, out in cones)
+        assert [out.window[0] for _, out in cones] == list(range(S.hi(), floor, -1))
         for X, out in cones:
-            assert out.window == (floor + 1, hi), X.label
             full = dg.cohomology(X)
             assert same_in_window(out, full), X.label
             assert hidden_degrees(out, full, side="above") == [], X.label
-            hi = out.sup
+        # the calls on one cone are consecutive, and each cone but the last is
+        # scanned down to its first degree with classes, which the next one kills
+        runs = [[out for _, out in run] for _, run in itertools.groupby(cones, key=lambda c: id(c[0]))]
+        assert len(runs) == len({id(X) for X, _ in cones}) >= 5
+        for k, outs in enumerate(runs):
+            has = [out.dim(out.window[0]) > 0 for out in outs]
+            assert not any(has[:-1]) and (has[-1] or k == len(runs) - 1)
         X, out = complexes[0]
         assert out.window == window and same_in_window(out, dg.cohomology(X, with_action=False))
 
