@@ -159,9 +159,8 @@ class DGModule(Graded):
     # the (X_g, n_g) a free module or a psi sum is the block sum of (module
     # docstring); set by free_module and psi_sum only
     parts: list | None = field(default=None, repr=False, compare=False)
-    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i, and K; set by psi
+    # psi(K)'s component spaces Hom_{R0}(R^{-i}, K) by degree i; set by psi
     _psi_spaces: dict | None = field(default=None, repr=False, compare=False)
-    _psi_K: hk.FDModule | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -907,7 +906,7 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
                 # (phi . r)(s) = phi(r s) on R^{-k}, for phi and r in the bases
                 maps = np.einsum("akc,bxc->abkx", phis[i], R.mult_tensor(j, -k))
                 act[(i, j)] = spaces[k].coords(maps)
-    return DGModule(R, dims, diff, act, label=f"psi({K.label})", _psi_spaces=spaces, _psi_K=K)
+    return DGModule(R, dims, diff, act, label=f"psi({K.label})", _psi_spaces=spaces)
 
 
 def psi_piece(R: DGAlgebra, i: int) -> tuple[DGModule, CohomologyData]:

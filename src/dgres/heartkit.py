@@ -598,10 +598,13 @@ def projective_indecomposable(A: OrdinaryAlgebra, i: int) -> tuple[FDModule, np.
     """P(S_i) = e_i A as a module, with its inclusion into the regular module."""
     key = ("pim", i)
     if key not in A._cache:
-        e = _lift_idempotents(A)[i]
-        reg = regular_module(A)
-        A._cache[key] = submodule(reg, [e], label=f"P{i}")
+        A._cache[key] = submodule(regular_module(A), [_lift_idempotents(A)[i]], label=f"P{i}")
     return A._cache[key]
+
+
+def pim_generator(A: OrdinaryAlgebra, i: int) -> np.ndarray:
+    """e_i in the basis of P(S_i) = e_i A, read at the pivots of its RREF basis."""
+    return _lift_idempotents(A)[i][(projective_indecomposable(A, i)[1] != 0).argmax(axis=0)]
 
 
 @dataclass

@@ -38,18 +38,15 @@ R0-linear phi : M^t -> K through
 and phi(x) = f_t(x)(1).  With the signs of dgcore, f is a chain map iff
 phi(d(m s)) = 0 for all m and s, by the Leibniz rule
 d(m s) = dm s + (-1)^j m ds.  Taking s = 1 shows these elements fill
-B^t(M), so the chain condition is just phi|B^t = 0.  A stage therefore
-solves for phi on one degree: R0-linear, zero on B^t, prescribed on the
-representatives of H^t.  It exists because K is R0-injective, so the
-prescribed map on Z^t/B^t extends to M^t/B^t.  Membership in the shifted
-psi class is decided by k-duality: D(psi(E)) = R (x)_{R0} D(E) is a summand
-of a free R^op-module, and D is an exact duality on finite-dimensional
-DG-modules, so M lies in the class iff D(M) passes the projective criterion
-over R^op.  The criterion reads only cohomology, and H^i(D M) = D H^{-i}(M)
-is the transpose of H(M): dg.dual_cohomology builds it from the classes the
-resolution already holds, with no elimination.  D(M) itself is built only
-for the certificate, when the top of D(M) is free and the quasi-isomorphism
-from a free module is checked on it.
+B^t(M), so the chain condition is just phi|B^t = 0.  Membership in the
+shifted psi class is decided by k-duality: D(psi(E)) = R (x)_{R0} D(E) is a
+summand of a free R^op-module, and D is an exact duality on
+finite-dimensional DG-modules, so M lies in the class iff D(M) passes the
+projective criterion over R^op.  The criterion reads only cohomology, and
+H^i(D M) = D H^{-i}(M) is the transpose of H(M): dg.dual_cohomology builds
+it from the classes the resolution already holds, with no elimination.
+D(M) itself is built only for the certificate, when the top of D(M) is
+free and the quasi-isomorphism from a free module is checked on it.
 
 K is the R0-envelope of Q = H^t(M) itself, and phi takes the hull Q -> K
 on the representatives.  R0 acts on Q through R0 ↠ H0, which maps rad R0
@@ -61,15 +58,22 @@ The terms are block sums of memoised pieces.  The R0-envelope is K =
 additive, so dg.psi_sum copies psi(E_i) and H(psi E_i), built once per
 algebra by dg.psi_piece, into the block-diagonal term and its cohomology,
 bit for bit what psi(K) and cohomology would build; the term's parts are
-the copies.  The strict-map solve decouples the same way without changing
-its answer.  Every linearity row and every prescribed-value row involves
-the unknowns phi|E of one block only, so the RREF of the whole system is
-the union of the blocks' RREFs, its pivots are the union of theirs, and
-the particular solution (free unknowns zero) is the blocks' solutions
-stacked.  Copies of one E_i share their rows, so each piece type is one
-solve with a right-hand side per copy, and each copy's blocks of f are
-read in its piece's spaces, which psi(K)'s spaces hold at contiguous row
-chunks.
+the copies, and each copy's blocks of f are read in its piece's spaces,
+which psi(K)'s spaces hold at contiguous row chunks.
+
+phi is read off the hull copy by copy, with no linear system.  E_i =
+D(P_i) for a left ideal P_i = e_i R0^op of R0 with basis b_k, and e_i =
+sum_k eps_k b_k.  The hull is the transpose of the projective cover of
+D(Q) over R0^op, whose copy c of P_i sends e_i to some v_c in D(Q) e_i
+and b_k to v_c b_k: its row (c, k) is q -> v_c(q b_k), and v_c =
+sum_k eps_k row (c, k).  The rows of Y, dg.dual_cohomology's
+representatives in degree -t, send a cocycle of M^t to its class
+coordinates and vanish on B^t.  With y_c = v_c Y,
+
+    phi_c(x)(b_k) = y_c(x b_k)
+
+is R0-linear, as (x r) b = x (r b); vanishes on B^t, as B^t b lies in
+B^t; and sends z_q to the hull's column q, as y_c(z_q b_k) = v_c(q b_k).
 
 The cohomology of each new model is computed only where it can be nonzero.
 Along sppj the term P_i = R^n[-s] lies in degrees <= s = sup M_i, and
@@ -111,7 +115,6 @@ class StageInfo:
     term_shift: int | None
     term_kind: str  # 'free' or 'psi'
     minimal: str  # 'cover' (free top) or 'free-minimal' (fewest generators), 'explicit' (sppj); 'envelope'
-    model_dims: dict
 
 
 @dataclass
@@ -293,40 +296,34 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
     if la.rank(hmap, M.p) != Q.dim:
         raise ValueError("chosen generators do not surject onto the top cohomology")
     nxt, g = dg.cocone(f)
-    info = StageInfo(-1, s, g_count, -s, "free", mode, dict(M.dims))
+    info = StageInfo(-1, s, g_count, -s, "free", mode)
     return P, f, nxt, g, info, cohP
 
 
 def _strict_map_to_psi(M, I, t, cohM, values):
     """The strict morphism f : M -> I = psi(K)[-t] with f_t(z_q)(1) = values[:, q].
 
-    z_q are the representatives of H^t(M) in cohM and values[:, q] lies in K.
-    f is the adjoint f_j(m)(s) = phi(m s) of the R0-linear phi : M^t -> K
-    that vanishes on B^t(M) and sends z_q to values[:, q]; such a phi exists
-    because K is injective over R0 (module docstring).  phi is solved block
-    by block of K = ⊕ E_i^{m_i}, one system per piece E_i whose right-hand
-    sides are its copies' prescribed values, and each copy's blocks of f are
-    read in the coordinates of its piece's spaces (dg.psi_sum).
+    z_q are the representatives of H^t(M) in cohM and values is the hull
+    H^t(M) -> K of _psi_target; f_j(m)(s) = phi(m s) for phi read off the
+    hull (module docstring), in each copy's piece's spaces (dg.psi_sum).
     """
-    p = M.p
-    n, nb = M.dim(t), M.dim(t - 1)
-    fixed = np.concatenate([M.diff_mat(t - 1), cohM.reps[t]], axis=1)
+    p, R, A = M.p, M.algebra, hk.heart_of(M.algebra).r0.opposite()
+    # functionals on M^t that send a cocycle to its class coordinates, zero on B^t
+    Y = dg.dual_cohomology(M, cohM).reps[-t].T
     blocks, r = {}, 0
     for _, group in itertools.groupby(I.parts, key=lambda part: id(part[0])):
         piece, copies = next(group)[0], 1 + sum(1 for _ in group)
-        E = piece._psi_K
-        k = E.dim
-        # unknowns: phi on E as a (k, n) matrix, row-major.  kron(1, fixed.T) prescribes phi on the
-        # columns of d_{t-1} (zero) and of the reps (values, one per copy of E); phi is R0-linear
-        linearity = (np.swapaxes(E.action, 0, 1), M.act_tensor(t, 0), 1, 0, 0)
-        rows = np.concatenate([np.kron(la.eye(k), fixed.T), la.balance_rows([linearity], [k * n], p)])
+        # the piece's index, looked up in the memo of dg.psi_piece, which built it
+        i = next(i for i in itertools.count() if R._memo.get(("psi_piece", i), (None,))[0] is piece)
+        _, incl = hk.projective_indecomposable(A, i)
+        k = incl.shape[1]
         vals, r = values[r : r + copies * k].reshape(copies, k, -1), r + copies * k
-        rhs = la.zeros(rows.shape[0], copies)
-        rhs[: k * fixed.shape[1]] = np.concatenate([np.zeros((copies, k, nb), dtype=np.int64), vals], axis=2).reshape(copies, -1).T
-        sol = la.solve_many(rows, rhs, p)
-        if sol is None:
-            raise RuntimeError("no R0-linear map vanishes on the boundaries with the prescribed values")
-        phi = sol.T.reshape(copies, k, n)
+        # y_c = v_c . Y for the copy's generator v_c = sum_k eps_k values[(c, k)] in D H^t(M)
+        y = la.matmul(la.matmul(hk.pim_generator(A, i), vals, p), Y, p)
+        # phi_c(x)(b_k) = y_c(x b_k), as (copies, k, n)
+        phi = np.transpose(la.matmul(y, la.matmul(np.swapaxes(M.act_tensor(t, 0), 1, 2), incl, p), p), (1, 2, 0))
+        if np.any(la.matmul(phi, cohM.reps[t], p) != vals):
+            raise RuntimeError("the prescribed values are not those of the R0-envelope of H^t(M)")
         for j in M.degrees():
             sp = piece._psi_spaces.get(j - t)
             if sp is None or sp.dim == 0:
@@ -370,7 +367,7 @@ def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
     nxt = dg.cone_module(f)
-    info = StageInfo(-1, t, I.total_dim, -t, "psi", "envelope", dict(M.dims))
+    info = StageInfo(-1, t, I.total_dim, -t, "psi", "envelope")
     return I, f, nxt, dg.cone_inclusion(f, nxt), info, cohI
 
 

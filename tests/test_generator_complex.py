@@ -40,8 +40,8 @@ def sparse_cone(R, M, s, k):
 
 
 def drawn_module(data, R):
-    """generated_module, whose random cocycles in R^0 are mostly units and
-    whose cones are then acyclic, followed by up to two sparse cones."""
+    """generated_module followed by up to two more sparse cones, which over
+    K2 can give a triangle of twists."""
     M = generated_module(data, R)
     for _ in range(data.draw(st.integers(0, 2))):
         cycles = {i: Z.dim for i, Z in dg.cohomology(M, with_action=False).cycle_basis.items() if Z.dim}

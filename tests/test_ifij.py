@@ -1,9 +1,15 @@
-"""The inf-injective side: stage maps built through the coinduction
-adjunction, one R0-envelope per stage, and a pinned injdim over the
-two-variable Koszul algebra."""
+"""The inf-injective side: stage maps read off the envelope through the
+coinduction adjunction with no elimination, one R0-envelope per stage, a
+pinned injdim over the two-variable Koszul algebra, and injdim against pd
+of the k-dual on generated modules."""
 
 import time
 
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import generated_module
 from dgres import battery
 from dgres import dgcore as dg
 from dgres import exactla as la
@@ -39,8 +45,8 @@ def test_injdim_heart_simple_over_k2(k2):
 
 
 def test_injdim_heart_simple_over_k2_cap5(k2):
-    # the phi systems of stages 3 and 4 are the largest sparse solves of the
-    # ifij side (up to 3220 x 640 at about 0.1% nonzero)
+    # stages 3 and 4 carry the largest strict maps of the ifij side, whose
+    # phi systems reached 3220 x 640 before phi was read off the envelope
     start = time.perf_counter()
     rep = rv.injdim(battery.heart_simple(k2, 0), cap=5)
     elapsed = time.perf_counter() - start
@@ -85,3 +91,69 @@ def test_one_r0_envelope_per_ifij_stage(algebras, k2, monkeypatch):
     assert len(stages) >= 90 and sum(not hk.is_injective(Q) for _, Q, _ in stages) >= 20
     for A, Q, hull in stages:
         assert hull.multiplicities == two_step_multiplicities(A, Q), (A.label, Q.label)
+
+
+def test_strict_maps_into_psi_run_no_elimination(algebras, k2, monkeypatch):
+    # phi is read off the envelope in closed form (resolve docstring), so no
+    # rref runs inside _strict_map_to_psi; a linear solve there would show
+    rref, strict_map, inside, calls = la.rref, rv._strict_map_to_psi, [False], []
+
+    def counted(*args, **kwargs):
+        calls.append(inside[0])
+        return rref(*args, **kwargs)
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return strict_map(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(la, "rref", counted)
+    monkeypatch.setattr(rv, "_strict_map_to_psi", flagged)
+    algs = dict(algebras, triangular4=battery.builtin_algebra("triangular(4)", P), K2=k2)
+    stages = 0
+    for R in algs.values():
+        for M in [R.regular_module(), battery.m_of(R, 1)] + heart_simples(R):
+            res = rv.IfijResolution(M)
+            res.ensure(3)
+            stages += len(res.maps)
+    assert stages >= 50 and len(calls) > 100
+    assert sum(calls) == 0
+
+
+NAMES = sorted(battery.battery_algebras(P)) + ["K2"]
+
+
+def psi_values(R, hull, f, t, coh):
+    """f_t(z_q)(1) for the representatives z_q of H^t, read in the spaces of
+    psi of the whole envelope, which the term is, bit for bit, shifted."""
+    maps = dg.psi(R, hull.module)._psi_spaces[0].matrices()  # (dim I^t, dim K, dim R^0)
+    return np.einsum("aq,akb,b->kq", la.matmul(f.block(t), coh.reps[t], P), maps, R.unit) % P
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(NAMES), st.data())
+def test_ifij_stages_and_injdim_against_pd_of_the_dual_on_generated_modules(algebras, k2, name, data):
+    R = k2 if name == "K2" else algebras[name]
+    M = generated_module(data, R)
+    cap = 4
+    res = rv.IfijResolution(M)
+    res.ensure(cap)
+    for i, f in enumerate(res.maps):
+        coh, t = res.cohs[i], res.cohs[i].inf
+        assert dg.validate_morphism(f) == [], (M.label, i)
+        hull = hk.injective_envelope(hk.restrict_to_r0(hk.heart_of(R), dg.heart_module(res.models[i], t, coh)))
+        assert np.array_equal(psi_values(R, hull, f, t, coh), hull.map), (M.label, i)
+    D = dg.dualize(M)
+    sppj = rv.SppjResolution(D)
+    inj, proj = rv.injdim(M, cap, resolution=res), rv.pd(D, cap, resolution=sppj)
+    # the two resolutions need not take the same number of stages (over a
+    # non-local R0 the free terms of pd can take more), but either side
+    # succeeds at a stage e <= its value, so an exact value v on one side
+    # bounds the stages the other side needs
+    v = inj.exact if inj.exact is not None else proj.exact
+    if v is not None and v > cap:
+        inj, proj = rv.injdim(M, v, resolution=res), rv.pd(D, v, resolution=sppj)
+    assert (inj.zero_object, inj.exact, inj.at_least) == (proj.zero_object, proj.exact, proj.at_least), M.label
+    assert inj.certificate.get("stage_bound") == proj.certificate.get("stage_bound"), M.label

@@ -4,9 +4,9 @@ dg.psi_sum assembles psi(R, K)[n] and its cohomology from copies of
 psi(R, E_i) and H(psi E_i); both must equal, bit for bit, what dg.psi and
 dg.cohomology build for the whole envelope K, and psi(R, K)'s spaces must be
 the pieces' spaces block by block.  The strict map into such a term is
-solved once per piece type and must equal the single-system solve over all
-of K, with K and its spaces from dg.psi(R, K), kept here as a test-only
-oracle.  The pieces are memoised on the algebra and must survive every use
+read off the envelope in closed form and must equal conftest's single-
+system solve over all of K, the envelope, with the spaces of dg.psi(R, K).
+The pieces are memoised on the algebra and must survive every use
 unchanged.
 """
 
@@ -19,6 +19,7 @@ from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
+from conftest import heart_sums, record_strict_maps, strict_map_to_psi_oracle
 
 P = 32003
 K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
@@ -48,16 +49,6 @@ def same_cohomology(a, b):
         and a.cycle_basis.keys() == b.cycle_basis.keys()
         and all(same_subspace(a.cycle_basis[i], b.cycle_basis[i]) for i in a.cycle_basis)
     )
-
-
-def heart_sums(R):
-    """H0-modules whose R0-envelopes repeat pieces and mix piece types."""
-    h0 = hk.heart_of(R).h0
-    sims = hk.simples(h0)
-    mods = [hk.regular_module(h0), hk.direct_sum([sims[0]] * 2)[0], hk.direct_sum(sims + [sims[-1]])[0]]
-    for k, J in enumerate(mods):
-        J.label = f"J{k}"
-    return mods
 
 
 def test_assembled_terms_equal_psi_and_cohomology(algs):
@@ -96,43 +87,8 @@ def pieces_space(spaces):
     return la.MapSpace(P, sum(sp.rows for sp in spaces), spaces[0].cols, basis, pivots)
 
 
-def strict_map_single_system(M, I, t, cohM, values, K, spaces):
-    """phi solved as one system over all of K, then adjoined; K and its
-    spaces are those of dg.psi(R, K)."""
-    p = M.p
-    n, k = M.dim(t), K.dim
-    rows, right = la.relations(np.swapaxes(K.action, 0, 1), M.act_tensor(t, 0), p)
-    rows += right
-    fixed = np.concatenate([M.diff_mat(t - 1), cohM.reps[t]], axis=1)
-    rows = np.concatenate([la.relations(np.zeros((k, 1, 0)), fixed.T[:, None, :], p)[1], rows[rows.any(axis=1)]])
-    rhs = np.zeros(rows.shape[0], dtype=np.int64)
-    rhs[: k * fixed.shape[1]] = -np.concatenate([la.zeros(k, M.dim(t - 1)), values], axis=1).reshape(-1)
-    phi = la.solve(rows, rhs, p).reshape(k, n)
-    blocks = {}
-    for j in M.degrees():
-        sp = spaces.get(j - t)
-        if sp is None or sp.dim == 0:
-            continue
-        maps = np.einsum("kc,msc->mks", phi, M.act_tensor(j, t - j)) % p
-        blocks[j] = sp.coords(maps).T
-    return dg.DGMorphism(M, I, blocks)
-
-
 def test_strict_maps_equal_the_single_system_solve(algs, monkeypatch):
-    # each strict map's arguments and value, with the hull its target was built from
-    calls, hulls, strict_map, psi_target = [], [], rv._strict_map_to_psi, rv._psi_target
-
-    def record_target(*args):
-        out = psi_target(*args)
-        hulls.append(out[2])
-        return out
-
-    def record(*args):
-        calls.append((args, strict_map(*args), hulls[-1]))
-        return calls[-1][1]
-
-    monkeypatch.setattr(rv, "_psi_target", record_target)
-    monkeypatch.setattr(rv, "_strict_map_to_psi", record)
+    calls = record_strict_maps(monkeypatch)
     for R in algs.values():
         for J in heart_sums(R):
             rv.IfijResolution(dg.heart_embed(R, J)).ensure(2)
@@ -140,8 +96,7 @@ def test_strict_maps_equal_the_single_system_solve(algs, monkeypatch):
     pieces = [[m for m in hull.multiplicities if m] for _, _, hull in calls]
     assert sum(max(ms) >= 2 for ms in pieces) >= 10 and sum(len(ms) >= 2 for ms in pieces) >= 5
     for args, f, hull in calls:
-        whole = dg.psi(args[0].algebra, hull.module)
-        want = strict_map_single_system(*args, whole._psi_K, whole._psi_spaces)
+        want = strict_map_to_psi_oracle(*args, hull.module)
         assert same_arrays(f.blocks, want.blocks), args[1].label
 
 
@@ -176,9 +131,11 @@ def test_injdim_builds_psi_once_per_algebra(monkeypatch):
     assert len(built) == 1
 
 
-def snapshot(I, H):
-    mod = [I.label, I._psi_K.label, dict(I.dims)] + [a.copy() for a in (*I.diff.values(), *I.act.values())]
-    mod += [sp.basis.copy() for sp in I._psi_spaces.values()] + [I._psi_K.action.copy()]
+def snapshot(I, H, pim):
+    # pim is the projective P_i with its inclusion, whose dual is the piece's K
+    P, incl = pim
+    mod = [I.label, P.label, dict(I.dims)] + [a.copy() for a in (*I.diff.values(), *I.act.values())]
+    mod += [sp.basis.copy() for sp in I._psi_spaces.values()] + [P.action.copy(), incl.copy()]
     coh = [dict(H.dims)] + [a.copy() for a in (*H.reps.values(), *H.class_proj.values(), *H.action.values())]
     coh += [Z.basis.copy() for Z in H.cycle_basis.values()]
     return mod + coh
@@ -195,10 +152,11 @@ def test_memoised_pieces_survive_gldim(spec):
     R = battery.builtin_algebra(spec, P)
     n = len(hk.simples(hk.heart_of(R).r0))
     pieces = [dg.psi_piece(R, i) for i in range(n)]
-    before = [snapshot(*pc) for pc in pieces]
+    pims = [hk.projective_indecomposable(hk.heart_of(R).r0.opposite(), i) for i in range(n)]
+    before = [snapshot(*pc, pim) for pc, pim in zip(pieces, pims)]
     rv.gldim(R, cap=3)
     assert all(dg.psi_piece(R, i) is pc for i, pc in enumerate(pieces))
-    assert all(same_snapshot(snapshot(*pc), b) for pc, b in zip(pieces, before))
+    assert all(same_snapshot(snapshot(*pc, pim), b) for pc, pim, b in zip(pieces, pims, before))
     # the unshifted term of a degree-zero stage is a fresh module too
     I, _, _ = rv._psi_target(R, hk.simples(hk.heart_of(R).h0)[0], 0)
     assert all(I is not X for X, _ in pieces)

@@ -1,9 +1,11 @@
 """The one relation builder, exactla.relations, and the one system builder
 on top of it, exactla.balance_rows, against the per-site loop and kron
 constructions they replaced, which are kept here as test-only oracles.
-Every Hom basis, tensor quotient, psi space, action map and psi stage map
-must come out bit-identical, over the battery algebras and the two-variable
-Koszul algebra (whose odd degrees exercise the tensor sign)."""
+Every Hom basis, tensor quotient, psi space and action map must come out
+bit-identical, over the battery algebras and the two-variable Koszul
+algebra (whose odd degrees exercise the tensor sign).  The psi stage maps,
+read off the envelope in closed form, must equal conftest's kron solve of
+one system over the whole envelope."""
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
+from conftest import record_strict_maps, strict_map_to_psi_oracle
 
 P = 32003
 
@@ -217,28 +220,6 @@ def action_map_oracle(R, cohM, s, i):
     return la.matmul(t.reshape(q * v, tgt).T, sect, p), proj.shape[0]
 
 
-def strict_map_to_psi_oracle(M, I, t, cohM, values, K, spaces):
-    p = M.p
-    n, k = M.dim(t), K.dim
-    rows = [
-        np.kron(la.eye(k), right_mult(M.act_tensor(t, 0), b).T) - np.kron(K.action[b], la.eye(n))
-        for b in range(M.algebra.dim(0))
-    ]
-    rows.append(np.kron(la.eye(k), M.diff_mat(t - 1).T))
-    rows.append(np.kron(la.eye(k), cohM.reps[t].T))
-    rhs = np.zeros(sum(r.shape[0] for r in rows), dtype=np.int64)
-    rhs[rhs.size - values.size :] = la.as_field(values, p).reshape(-1)
-    phi = la.solve(np.concatenate(rows), rhs, p).reshape(k, n)
-    blocks = {}
-    for j in M.degrees():
-        sp = spaces.get(j - t)
-        if sp is None or sp.dim == 0:
-            continue
-        maps = np.einsum("kc,msc->mks", phi, M.act_tensor(j, t - j)) % p
-        blocks[j] = np.stack([sp.coords(mat) for mat in maps], axis=1)
-    return dg.DGMorphism(M, I, blocks)
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -378,25 +359,15 @@ def test_psi_spaces_match_oracle(algs):
 
 
 def test_action_maps_and_psi_stage_maps_match_oracles(algs, monkeypatch):
-    action_calls, psi_calls, hulls = [], [], []
-    action_map, strict_map, psi_target = rv._action_map, rv._strict_map_to_psi, rv._psi_target
+    # the heart sums' stage maps are checked in test_psi_pieces
+    action_calls, action_map = [], rv._action_map
 
     def record_action(*args):
         action_calls.append((args, action_map(*args)))
         return action_calls[-1][1]
 
-    def record_target(*args):
-        out = psi_target(*args)
-        hulls.append(out[2])
-        return out
-
-    def record_psi(*args):
-        psi_calls.append((args, strict_map(*args), hulls[-1]))
-        return psi_calls[-1][1]
-
     monkeypatch.setattr(rv, "_action_map", record_action)
-    monkeypatch.setattr(rv, "_psi_target", record_target)
-    monkeypatch.setattr(rv, "_strict_map_to_psi", record_psi)
+    psi_calls = record_strict_maps(monkeypatch)
     for R in algs.values():
         for M in modules(R):
             rv.pd(M, cap=3)
@@ -406,8 +377,6 @@ def test_action_maps_and_psi_stage_maps_match_oracles(algs, monkeypatch):
         want_mat, want_src = action_map_oracle(*args)
         assert src == want_src and np.array_equal(mat, want_mat)
     for args, f, hull in psi_calls:
-        # K and its spaces from psi of the whole envelope
-        whole = dg.psi(args[0].algebra, hull.module)
-        want = strict_map_to_psi_oracle(*args, whole._psi_K, whole._psi_spaces)
-        assert f.blocks.keys() == want.blocks.keys()
-        assert all(np.array_equal(f.blocks[j], want.blocks[j]) for j in want.blocks)
+        want = strict_map_to_psi_oracle(*args, hull.module)
+        assert f.blocks.keys() == want.blocks.keys(), args[1].label
+        assert all(np.array_equal(f.blocks[j], want.blocks[j]) for j in want.blocks), args[1].label
