@@ -46,9 +46,19 @@ free iff n dim A = dim N, and then they are a free basis.
 
 The radical is computed with the trace-form method, which is valid whenever
 the characteristic exceeds the algebra dimension; this is checked at entry.
-Simple modules are found by splitting the semisimple quotient with random
-central elements; the base field is assumed to be a splitting field and an
-UnsplitFactorError is raised otherwise.
+Simple modules are found by splitting the semisimple quotient S inside S
+(Cantor-Zassenhaus in k[x], as in Eberly and Giesbrecht): a random central
+element splits S into blocks uS, a random b in an n x n block splits it into
+eigen-idempotents e, and the simple is the first eS of dimension n in the
+order of the eigenvalues.  x in uSu is split semisimple iff x^p = x.  An
+idempotent e of k[x] on which x is not scalar is split by f = (w^2 + w)/2,
+w = ((x + δu) e)^((p-1)/2): f is 1 exactly at the eigenvalues λ with λ + δ
+a nonzero square, the partition that the gcd of x's minimal polynomial with
+(x + δ)^((p-1)/2) - 1 makes.  Primitive idempotents of k[x] are unique and
+the square part is split first, so the simples are those of that polynomial
+route draw for draw; tests/test_heartkit.py keeps it as the oracle.  The
+base field is assumed to be a splitting field and an UnsplitFactorError is
+raised otherwise.
 """
 
 from __future__ import annotations
@@ -190,92 +200,6 @@ def semisimple_quotient(A: OrdinaryAlgebra):
     if "semis" not in A._cache:
         A._cache["semis"] = quotient_algebra(A, radical(A))
     return A._cache["semis"]
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), used only for splitting central elements
-
-
-def _ptrim(f, p):
-    while len(f) > 1 and f[-1] % p == 0:
-        f = f[:-1]
-    return [c % p for c in f]
-
-
-def _pmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out, p)
-
-
-def _pdivmod(f, g, p):
-    f = [c % p for c in f]
-    g = _ptrim(g, p)
-    if g == [0]:
-        raise ZeroDivisionError
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(1, len(f) - len(g) + 1)
-    r = list(f)
-    while len(_ptrim(r, p)) >= len(g) and _ptrim(r, p) != [0]:
-        r = _ptrim(r, p)
-        k = len(r) - len(g)
-        c = (r[-1] * inv) % p
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] = (r[k + i] - c * b) % p
-    return _ptrim(q, p), _ptrim(r, p)
-
-
-def _pgcd(f, g, p):
-    f, g = _ptrim(f, p), _ptrim(g, p)
-    while g != [0]:
-        f, g = g, _pdivmod(f, g, p)[1]
-    inv = pow(f[-1], p - 2, p)
-    return _ptrim([c * inv % p for c in f], p)
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _split_roots(f, p, rng):
-    """All roots of a monic polynomial that is squarefree and split over GF(p)."""
-    f = _ptrim(f, p)
-    inv = pow(f[-1], p - 2, p)
-    f = [c * inv % p for c in f]
-    deg = len(f) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-f[0]) % p]
-    # f | x^p - x  iff  f is squarefree with all roots in GF(p)
-    xp = _ppowmod([0, 1], p, f, p)
-    xp_minus_x = _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp + [0, 0])], p)
-    if xp_minus_x != [0]:
-        raise UnsplitFactorError("minimal polynomial does not split over GF(p)")
-    for _ in range(ROOT_SPLIT_TRIES):
-        delta = int(rng.integers(0, p))
-        g = _ppowmod([delta, 1], (p - 1) // 2, f, p)
-        g = _ptrim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(g + [0])], p)
-        if g == [0]:
-            continue
-        d = _pgcd(g, f, p)
-        if 0 < len(d) - 1 < deg:
-            q, r = _pdivmod(f, d, p)
-            if r != [0]:
-                raise RuntimeError("a gcd of f does not divide f; polynomial arithmetic over GF(p) is corrupt")
-            return sorted(_split_roots(d, p, rng) + _split_roots(q, p, rng))
-    raise UnsplitFactorError("root splitting exceeded the retry budget")
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +358,48 @@ def _center(A: OrdinaryAlgebra) -> np.ndarray:
     return la.kernel(comm % A.p, A.p).basis
 
 
+def _power(L, n: int, v, p: int) -> np.ndarray:
+    """L^n v, by repeated squaring of the matrix L."""
+    while n:
+        if n & 1:
+            v = la.matmul(L, v, p)
+        L = la.matmul(L, L, p)
+        n >>= 1
+    return v
+
+
+def _eigen_idempotents(S: OrdinaryAlgebra, u, x, rng):
+    """The primitive idempotents e of k[x] inside the block uSu, each paired
+    with the eigenvalue λ for which x e = λ e, sorted by λ.
+
+    None when x is not split semisimple, or when a split runs out of δ draws
+    (module docstring).
+    """
+    p = S.p
+    L = S.left_mult(x)
+    if not np.array_equal(_power(L, p, u, p), x):
+        return None
+
+    def split(e):
+        xe = la.matmul(L, e, p)
+        i = np.flatnonzero(e)[0]
+        lam = int(xe[i]) * pow(int(e[i]), p - 2, p) % p
+        if np.array_equal(xe, lam * e % p):
+            return [(lam, e)]
+        for _ in range(ROOT_SPLIT_TRIES):
+            delta = int(rng.integers(0, p))
+            w = _power((L + delta * la.eye(S.dim)) % p, (p - 1) // 2, e, p)
+            f = (la.matmul(S.left_mult(w), w, p) + w) * ((p + 1) // 2) % p
+            if f.any() and not np.array_equal(f, e):
+                square = split(f)
+                rest = square and split((e - f) % p)
+                return rest and square + rest
+        return None
+
+    pairs = split(u)
+    return pairs and sorted(pairs, key=lambda pair: pair[0])
+
+
 def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng):
     """Central primitive idempotents of the semisimple algebra S."""
     center = _center(S)
@@ -447,45 +413,17 @@ def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng):
         if basis.dim == 1:
             finished.append(u)
             continue
-        split = False
         for _ in range(CENTRAL_SPLIT_TRIES):
             coeffs = rng.integers(0, S.p, size=basis.dim)
-            z = (coeffs @ basis.basis) % S.p
-            # minimal polynomial of z inside the unital block algebra uSu
-            f = _minpoly_in_block(S, u, z)
-            if len(f) - 1 < 2:
-                continue
-            roots = _split_roots(f, S.p, rng)
-            if len(roots) < 2:
-                continue
-            for lam in roots:
-                # Lagrange idempotent at lam
-                e = u.copy()
-                denom = 1
-                for mu in roots:
-                    if mu == lam:
-                        continue
-                    e = (S.multiply(z, e) - mu * e) % S.p
-                    denom = denom * (lam - mu) % S.p
-                e = (e * pow(denom % S.p, S.p - 2, S.p)) % S.p
-                queue.append(e)
-            split = True
-            break
-        if not split:
+            pairs = _eigen_idempotents(S, u, (coeffs @ basis.basis) % S.p, rng)
+            if pairs is None:
+                raise UnsplitFactorError("a central element of A/rad does not split over GF(p)")
+            if len(pairs) > 1:
+                queue += [e for _, e in pairs]
+                break
+        else:
             raise UnsplitFactorError("central splitting exceeded the retry budget")
     return finished
-
-
-def _minpoly_in_block(S: OrdinaryAlgebra, u, z) -> list[int]:
-    vecs = [u.copy()]
-    w = u.copy()
-    while True:
-        w = S.multiply(w, z)
-        stacked = np.stack(vecs, axis=1)
-        sol = la.solve(stacked, w, S.p)
-        if sol is not None:
-            return [int(-c) % S.p for c in sol] + [1]
-        vecs.append(w.copy())
 
 
 def _simple_of_block(S: OrdinaryAlgebra, u, rng):
@@ -502,18 +440,12 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng):
         return B, la.span([u], S.dim, p), n
     for _ in range(SIMPLE_EXTRACT_TRIES):
         coeffs = rng.integers(0, p, size=d)
-        b = (coeffs @ B.basis) % p
-        f = _minpoly_in_block(S, u, b)
-        try:
-            roots = _split_roots(f, p, rng)
-        except UnsplitFactorError:
-            continue
-        for lam in roots:
-            # left multiplication by (b - lam u) restricted to uS
-            op = (S.left_mult(b) - lam * la.eye(S.dim)) % p
-            ker = la.kernel(restrict(op, B, "_simple_of_block"), p)
-            if ker.dim == n:
-                return B, la.span([(v @ B.basis) % p for v in ker.basis], S.dim, p), n
+        # e uS is the λ-eigenspace of left multiplication by b on uS: a
+        # simple right ideal when λ is a simple eigenvalue of b
+        for _, e in _eigen_idempotents(S, u, (coeffs @ B.basis) % p, rng) or ():
+            W = la.span(la.matmul(S.left_mult(e), B.basis.T, p).T, S.dim, p)
+            if W.dim == n:
+                return B, W, n
     raise UnsplitFactorError("simple extraction exceeded the retry budget")
 
 

@@ -293,6 +293,147 @@ def module_on_subspace_oracle(A, S, proj, W, label):
     return hk.FDModule(A, W.dim, action, label=label)
 
 
+# The simples by polynomial arithmetic over GF(p), the oracle of hk.simples:
+# the minimal polynomial of a random element is split by gcds with
+# (x + delta)^((p-1)/2) - 1, and central idempotents are Lagrange products.
+
+
+def _ptrim(f, p):
+    while len(f) > 1 and f[-1] % p == 0:
+        f = f[:-1]
+    return [c % p for c in f]
+
+
+def _pmul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return _ptrim(out, p)
+
+
+def _pdivmod(f, g, p):
+    f = [c % p for c in f]
+    g = _ptrim(g, p)
+    if g == [0]:
+        raise ZeroDivisionError
+    inv = pow(g[-1], p - 2, p)
+    q = [0] * max(1, len(f) - len(g) + 1)
+    r = list(f)
+    while len(_ptrim(r, p)) >= len(g) and _ptrim(r, p) != [0]:
+        r = _ptrim(r, p)
+        k = len(r) - len(g)
+        c = (r[-1] * inv) % p
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] = (r[k + i] - c * b) % p
+    return _ptrim(q, p), _ptrim(r, p)
+
+
+def _pgcd(f, g, p):
+    f, g = _ptrim(f, p), _ptrim(g, p)
+    while g != [0]:
+        f, g = g, _pdivmod(f, g, p)[1]
+    inv = pow(f[-1], p - 2, p)
+    return _ptrim([c * inv % p for c in f], p)
+
+
+def _ppowmod(base, e, mod, p):
+    result = [1]
+    base = _pdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def _split_roots(f, p, rng):
+    """All roots of a monic polynomial that is squarefree and split over GF(p)."""
+    f = _ptrim(f, p)
+    inv = pow(f[-1], p - 2, p)
+    f = [c * inv % p for c in f]
+    deg = len(f) - 1
+    if deg == 0:
+        return []
+    if deg == 1:
+        return [(-f[0]) % p]
+    # f | x^p - x  iff  f is squarefree with all roots in GF(p)
+    xp = _ppowmod([0, 1], p, f, p)
+    xp_minus_x = _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp + [0, 0])], p)
+    if xp_minus_x != [0]:
+        raise hk.UnsplitFactorError("minimal polynomial does not split over GF(p)")
+    for _ in range(hk.ROOT_SPLIT_TRIES):
+        delta = int(rng.integers(0, p))
+        g = _ppowmod([delta, 1], (p - 1) // 2, f, p)
+        g = _ptrim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(g + [0])], p)
+        if g == [0]:
+            continue
+        d = _pgcd(g, f, p)
+        if 0 < len(d) - 1 < deg:
+            q, r = _pdivmod(f, d, p)
+            if r != [0]:
+                raise RuntimeError("a gcd of f does not divide f; polynomial arithmetic over GF(p) is corrupt")
+            return sorted(_split_roots(d, p, rng) + _split_roots(q, p, rng))
+    raise hk.UnsplitFactorError("root splitting exceeded the retry budget")
+
+
+def block_split_oracle(A, S, rng):
+    """Central primitive idempotents of the semisimple algebra S."""
+    center = hk._center(S)
+    queue = [S.unit.copy()]
+    finished = []
+    while queue:
+        u = queue.pop()
+        # center of the block uS: central elements z with zu = z
+        uZ = [S.multiply(z, u) for z in center]
+        basis = la.span(uZ, S.dim, S.p)
+        if basis.dim == 1:
+            finished.append(u)
+            continue
+        split = False
+        for _ in range(hk.CENTRAL_SPLIT_TRIES):
+            coeffs = rng.integers(0, S.p, size=basis.dim)
+            z = (coeffs @ basis.basis) % S.p
+            # minimal polynomial of z inside the unital block algebra uSu
+            f = _minpoly_in_block(S, u, z)
+            if len(f) - 1 < 2:
+                continue
+            roots = _split_roots(f, S.p, rng)
+            if len(roots) < 2:
+                continue
+            for lam in roots:
+                # Lagrange idempotent at lam
+                e = u.copy()
+                denom = 1
+                for mu in roots:
+                    if mu == lam:
+                        continue
+                    e = (S.multiply(z, e) - mu * e) % S.p
+                    denom = denom * (lam - mu) % S.p
+                e = (e * pow(denom % S.p, S.p - 2, S.p)) % S.p
+                queue.append(e)
+            split = True
+            break
+        if not split:
+            raise hk.UnsplitFactorError("central splitting exceeded the retry budget")
+    return finished
+
+
+def _minpoly_in_block(S, u, z) -> list[int]:
+    vecs = [u.copy()]
+    w = u.copy()
+    while True:
+        w = S.multiply(w, z)
+        stacked = np.stack(vecs, axis=1)
+        sol = la.solve(stacked, w, S.p)
+        if sol is not None:
+            return [int(-c) % S.p for c in sol] + [1]
+        vecs.append(w.copy())
+
+
 def simple_of_block_oracle(S, u, rng):
     p = S.p
     B = la.span([S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)], S.dim, p)
@@ -301,9 +442,9 @@ def simple_of_block_oracle(S, u, rng):
         return la.span([u], S.dim, p), n
     for _ in range(60):
         b = (rng.integers(0, p, size=B.dim) @ B.basis) % p
-        f = hk._minpoly_in_block(S, u, b)
+        f = _minpoly_in_block(S, u, b)
         try:
-            roots = hk._split_roots(f, p, rng)
+            roots = _split_roots(f, p, rng)
         except hk.UnsplitFactorError:
             continue
         for lam in roots:
@@ -315,13 +456,20 @@ def simple_of_block_oracle(S, u, rng):
     raise AssertionError("simple extraction exceeded the retry budget")
 
 
+def simple_ideals_oracle(A):
+    """The central primitive idempotents u of A/rad in order, and the simple
+    right ideal W of each block uS."""
+    rng = np.random.default_rng(A.seed)
+    S, _, _ = hk.semisimple_quotient(A)
+    blocks = sorted(block_split_oracle(A, S, rng), key=lambda u: tuple(int(x) for x in u))
+    return blocks, [simple_of_block_oracle(S, u, rng)[0] for u in blocks]
+
+
 def simples_and_idempotents_oracle(A):
     """The simples and the lifted primitive idempotents, by the loop forms."""
     p = A.p
-    rng = np.random.default_rng(A.seed)
     S, proj, sect = hk.semisimple_quotient(A)
-    blocks = sorted(hk._block_split(A, S, rng), key=lambda u: tuple(int(x) for x in u))
-    Ws = [simple_of_block_oracle(S, u, rng)[0] for u in blocks]
+    blocks, Ws = simple_ideals_oracle(A)
     mods = [module_on_subspace_oracle(A, S, proj, W, label=f"S{i}") for i, W in enumerate(Ws)]
     idems = []
     for u, W in zip(blocks, Ws):
@@ -532,6 +680,95 @@ def test_simples_and_idempotents_match_oracle(ordinary):
         assert len(sims) == len(mods) and all(same_module(s, m) for s, m in zip(sims, mods))
         lifted = hk._lift_idempotents(A)
         assert len(lifted) == len(idems) and all(same(e, f) for e, f in zip(lifted, idems))
+
+
+SWEEP_SPECS = (
+    "field()", "nilpotent(2)", "nilpotent(3)", "triangular(2)", "triangular(3)", "matrix(2)", "matrix(3)",
+    "product(field(),field())", "product(matrix(2),triangular(2))", "product(matrix(2),matrix(2))",
+    "product(matrix(3),product(field(),matrix(2)))", "koszul(x; k[x]/(x^2))", "koszul(x,y; k[x,y]/(x^2,y^2))",
+)
+SWEEP_PRIMES = (7, 11, 13, 101, 32003, 1000003)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_simples_and_idempotents_match_oracle_over_primes_and_seeds(spec, monkeypatch):
+    # the smallest prime of the sweep at which the spec builds (p > dim R^0)
+    # and the largest; seeds 0-3; R and R^op; H0 and R0.  The simple right
+    # ideals W are compared too, since the simple read off W = eS is the
+    # same for almost every rank-one idempotent e of a matrix block
+    simple_of_block, ideals = hk._simple_of_block, []
+
+    def recorded(*args):
+        ideals.append(simple_of_block(*args))
+        return ideals[-1]
+
+    monkeypatch.setattr(hk, "_simple_of_block", recorded)
+    n0 = battery.builtin_algebra(spec, P).dim(0)
+    for p in (min(q for q in SWEEP_PRIMES if q > n0), SWEEP_PRIMES[-1]):
+        for seed in range(4):
+            R = battery.builtin_algebra(spec, p, seed)
+            heart = [A for X in (R, R.opposite()) for A in (hk.heart_of(X).h0, hk.heart_of(X).r0)]
+            for A in {id(A): A for A in heart}.values():
+                ideals.clear()
+                sims = hk.simples(A)
+                Ws = simple_ideals_oracle(A)[1]
+                assert len(ideals) == len(Ws) and all(same_subspace(W, w) for (_, W, _), w in zip(ideals, Ws))
+                mods, idems = simples_and_idempotents_oracle(A)
+                assert len(sims) == len(mods) and all(same_module(s, m) for s, m in zip(sims, mods))
+                lifted = hk._lift_idempotents(A)
+                assert len(lifted) == len(idems) and all(same(e, f) for e, f in zip(lifted, idems))
+
+
+def test_unsplit_central_factor_raises_like_the_oracle():
+    # GF(5) x GF(25), basis 1_5, 1_25, t with t^2 = 2: a central element
+    # with a nonzero t-part has eigenvalues outside GF(5)
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0, 0, 0] = mult[1, 1, 1] = mult[1, 2, 2] = mult[2, 1, 2] = 1
+    mult[2, 2, 1] = 2
+    A = hk.OrdinaryAlgebra(5, 3, mult, np.array([1, 1, 0]), label="GF(5) x GF(25)")
+    assert A.validate() == []
+    S, _, _ = hk.semisimple_quotient(A)
+    assert S.dim == 3
+    for seed in range(8):
+        for split in (hk._block_split, block_split_oracle):
+            with pytest.raises(hk.UnsplitFactorError):
+                split(A, S, np.random.default_rng(seed))
+    with pytest.raises(hk.UnsplitFactorError):
+        hk.simples(A)
+
+
+def first_b_unsplit_seed():
+    """A seed at which the first b drawn in matrix(2) has an irreducible
+    characteristic polynomial: its discriminant is not a square mod P.
+    The central split of M_2(k) draws nothing, so b is the first draw."""
+    for seed in range(64):
+        (a, b), (c, d) = np.random.default_rng(seed).integers(0, P, size=4).reshape(2, 2).tolist()
+        if pow(((a + d) ** 2 - 4 * (a * d - b * c)) % P, (P - 1) // 2, P) == P - 1:
+            return seed
+    raise AssertionError("no seed below 64 draws an unsplit b")
+
+
+def test_unsplit_b_is_skipped(monkeypatch):
+    seed = first_b_unsplit_seed()
+    S, _, _ = hk.semisimple_quotient(hk.heart_of(battery.builtin_algebra("matrix(2)", P, seed)).h0)
+    results = []
+    eigen = hk._eigen_idempotents
+
+    def recorded(*args):
+        results.append(eigen(*args))
+        return results[-1]
+
+    monkeypatch.setattr(hk, "_eigen_idempotents", recorded)
+    _, W, n = hk._simple_of_block(S, S.unit, np.random.default_rng(seed))
+    assert n == 2 and results[0] is None and len(results) > 1
+    assert same_subspace(W, simple_of_block_oracle(S, S.unit, np.random.default_rng(seed))[0])
+
+
+def test_simple_extraction_budget(monkeypatch):
+    monkeypatch.setattr(hk, "SIMPLE_EXTRACT_TRIES", 1)
+    A = hk.heart_of(battery.builtin_algebra("matrix(2)", P, first_b_unsplit_seed())).h0
+    with pytest.raises(hk.UnsplitFactorError, match="simple extraction exceeded the retry budget"):
+        hk.simples(A)
 
 
 def test_submodules_quotients_and_freeness_match_oracles(ordinary):
