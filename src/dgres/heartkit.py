@@ -580,6 +580,8 @@ def _build_cover(N: FDModule) -> CoverData:
     n = max(-(-img.dim // len(V)) for img, V in zip(imgs, _matrix_units(A)))
     pieces, maps, start, gens = [], [], 0, la.zeros(N.dim, n)
     for i, (e, img, V) in enumerate(zip(idems, imgs, _matrix_units(A))):
+        if not img.dim:  # S_i is not in the top: no copies of P_i, no columns, no generator part
+            continue
         P, incl = projective_indecomposable(A, i)
         # v = lift . e_i in N.e_i, and e_i a -> v.a for the basis e_i a of P
         vs = la.matmul(N.action_of(e), lifts[:, start : start + img.dim], p)

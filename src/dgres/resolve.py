@@ -21,7 +21,11 @@ recorded as a derived certification instead of being decided separately.
 
 Membership in the shifted projective class is decided by the graded
 criterion: H^sup(M) must be projective over H0 and every action map
-H^sup(M) (x)_{H0} H^{-i}(R) -> H^{sup-i}(M) must be bijective.  This is
+H^sup(M) (x)_{H0} H^{-i}(R) -> H^{sup-i}(M) must be bijective.  For
+i = 0 that map is Q (x)_{H0} H0 -> Q, q (x) a -> q a, with Q = H^sup(M):
+it is an isomorphism whenever the unit of H0 acts on Q as 1, so it is not
+built then; an input on which the unit does not act as 1 gets it built
+and checked like every other degree.  This is
 complete: given the criterion, a map from a shifted object of the class
 inducing an isomorphism on top cohomology is a quasi-isomorphism, because
 both cohomologies are generated over H(R) by the top.  When H^sup(M) is
@@ -222,7 +226,9 @@ def _projective_criterion(R, coh, label):
         cert["h_sup_projective"] = False
         return False, cert, cover
     cert["h_sup_projective"] = True
-    for i in _action_map_ranges(R, coh, s):
+    # i = 0 is Q (x)_{H0} H0 = Q, bijective when the unit acts as 1 (module docstring)
+    start = 1 if np.array_equal(Q.action_of(Q.algebra.unit), la.eye(Q.dim)) else 0
+    for i in _action_map_ranges(R, coh, s)[start:]:
         mat, src = _action_map(R, coh, s, i)
         tgt = coh.dim(s - i)
         if src != tgt or (src and la.rank(mat, R.p) != src):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dgres import battery
+from dgres import derived as dv
 from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
@@ -497,6 +498,31 @@ def top_multiplicities_oracle(A, N):
     return [la.rank(top.action_of(e), A.p) for e in hk._lift_idempotents(A)]
 
 
+def build_cover_oracle(N):
+    """hk._build_cover with no block skipped: a block absent from the top
+    still builds its P_i, both pull-backs and its (zero) generator part."""
+    A, p = N.algebra, N.algebra.p
+    idems = hk._lift_idempotents(A)
+    _, _, sect = hk.semisimple_quotient(A)
+    top, proj_top = hk.top_of(N)
+    imgs = [la.span(top.action_of(e).T, top.dim, p) for e in idems]
+    lifts = la.solve_many(proj_top, np.concatenate([img.basis for img in imgs]).T, p)
+    n = max(-(-img.dim // len(V)) for img, V in zip(imgs, hk._matrix_units(A)))
+    pieces, maps, start, gens = [], [], 0, la.zeros(N.dim, n)
+    for i, (e, img, V) in enumerate(zip(idems, imgs, hk._matrix_units(A))):
+        P, incl = hk.projective_indecomposable(A, i)
+        vs = la.matmul(N.action_of(e), lifts[:, start : start + img.dim], p)
+        images = la.matmul(hk.pull_back(N.action, incl, p), vs, p)
+        maps.append(np.transpose(images, (1, 2, 0)).reshape(N.dim, -1))
+        pieces += [P] * img.dim
+        start += img.dim
+        r = len(V)
+        padded = np.concatenate([vs, la.zeros(N.dim, n * r - img.dim)], axis=1).reshape(N.dim, n, r)
+        gens = (gens + np.einsum("kde,eck->dc", hk.pull_back(N.action, la.matmul(sect, V[0].T, p), p), padded)) % p
+    cover, _ = hk.direct_sum(pieces)
+    return hk.CoverData(cover, np.concatenate(maps, axis=1) % p, [img.dim for img in imgs], gens)
+
+
 def free_rank_oracle(N):
     A = N.algebra
     if N.dim == 0:
@@ -813,6 +839,20 @@ def test_cover_generators_are_the_fewest_that_generate(ordinary):
             assert hk.free_rank(N) == free_rank_oracle(N)
             checked += 1
     assert checked == 242
+
+
+def test_covers_skip_blocks_absent_from_the_top_like_the_full_loop(dg_algebras):
+    checked = skipped = 0
+    for R in dg_algebras:
+        for N in dv.heart_battery(R):
+            for X in (N, hk.dual_module(N)):
+                got, want = hk._build_cover(X), build_cover_oracle(X)
+                assert got.module.dim == want.module.dim and same(got.module.action, want.module.action)
+                assert same(got.map, want.map) and same(got.generators, want.generators)
+                assert got.multiplicities == want.multiplicities
+                checked += 1
+                skipped += 0 in want.multiplicities
+    assert (checked, skipped) == (132, 70)  # 70 covers have a block absent from the top
 
 
 def test_restrict_to_r0_and_pi_shriek_match_oracles(dg_algebras):

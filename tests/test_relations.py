@@ -359,23 +359,30 @@ def test_psi_spaces_match_oracle(algs):
 
 
 def test_action_maps_and_psi_stage_maps_match_oracles(algs, monkeypatch):
-    # the heart sums' stage maps are checked in test_psi_pieces
-    action_calls, action_map = [], rv._action_map
+    # the heart sums' stage maps are checked in test_psi_pieces.  The
+    # criterion skips i = 0 on a unital top, so the action maps are built
+    # here at each input it is given, over its full range of degrees
+    inputs, criterion = [], rv._projective_criterion
 
-    def record_action(*args):
-        action_calls.append((args, action_map(*args)))
-        return action_calls[-1][1]
+    def record_input(R, coh, label):
+        inputs.append((R, coh))
+        return criterion(R, coh, label)
 
-    monkeypatch.setattr(rv, "_action_map", record_action)
+    monkeypatch.setattr(rv, "_projective_criterion", record_input)
     psi_calls = record_strict_maps(monkeypatch)
     for R in algs.values():
         for M in modules(R):
             rv.pd(M, cap=3)
             rv.IfijResolution(M).ensure(3)
+    action_calls = [(R, coh, coh.sup, i) for R, coh in inputs if not coh.is_acyclic()
+                    for i in rv._action_map_ranges(R, coh, coh.sup)]
     assert len(action_calls) > 50 and len(psi_calls) > 30
-    for args, (mat, src) in action_calls:
+    for args in action_calls:
+        (R, coh, s, i), (mat, src) = args, rv._action_map(*args)
         want_mat, want_src = action_map_oracle(*args)
         assert src == want_src and np.array_equal(mat, want_mat)
+        if i == 0:  # Q (x)_{H0} H0 -> Q is bijective, the theorem the criterion's skip rests on
+            assert src == coh.dim(s) == la.rank(mat, R.p)
     for args, f, hull in psi_calls:
         want = strict_map_to_psi_oracle(*args, hull.module)
         assert f.blocks.keys() == want.blocks.keys(), args[1].label

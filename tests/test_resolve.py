@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,33 @@ def test_triangle_bound(koszul):
         assert rep.exact is not None
         reports[name] = rep.exact - dg.cohomology(M, with_action=False).sup
     assert reports["N"] <= max(reports["L"], reports["C"]) + 0  # N sits in L -> N -> C
+
+
+def test_the_criterion_builds_the_degree_zero_map_only_when_the_unit_does_not_act_as_one(algebras, k2, monkeypatch):
+    # over field x field, with H0 basis e1, e2, the unit e1 + e2 acts on the
+    # top H^0(R) = k^2 by [[1, 1], [1, 1]]; each e_i still has a rank-one
+    # image and those images span, so the cover is onto and the i = 0 map
+    # decides: its source is 0-dimensional, so the certificate fails in degree 0
+    degrees, action_map = [], rv._action_map
+
+    def recorded(R, coh, s, i):
+        degrees.append(i)
+        return action_map(R, coh, s, i)
+
+    monkeypatch.setattr(rv, "_action_map", recorded)
+    R = algebras["field_x_field"]
+    coh = dg.cohomology(R.regular_module())
+    E = np.array([[[1, 1], [0, 0]], [[0, 0], [1, 1]]], dtype=np.int64)  # v . e_b = E[b] v
+    bad = dataclasses.replace(coh, action={**coh.action, (0, 0): np.transpose(E, (2, 0, 1)).copy()})
+    ok, cert, _ = rv._projective_criterion(R, bad, "non-unital")
+    assert not ok and degrees == [0]
+    assert cert == {"sup": 0, "h_sup_dim": 2, "h_sup_projective": True,
+                    "action_map_failure_degree": 0, "action_map_dims": [0, 2]}
+    # on a unital top the criterion builds degrees i >= 1 only
+    del degrees[:]
+    for R in [*algebras.values(), k2]:
+        sims = hk.simples(hk.heart_of(R).h0)
+        for M in [R.regular_module(), battery.m_of(R, 1)] + [battery.heart_simple(R, i) for i in range(len(sims))]:
+            rv.pd(M, cap=3)
+            rv.injdim(M, cap=3)
+    assert degrees and min(degrees) == 1
