@@ -33,6 +33,8 @@ from . import exactla as la
 from . import heartkit as hk
 from .resolve import IfijResolution, SppjResolution
 
+STAGE_CAP = 64  # the last stage index a slot table may need before its window ends
+
 
 @dataclass
 class HomTable:
@@ -206,14 +208,14 @@ class InsufficientStagesError(RuntimeError):
     pass
 
 
-def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int]:
+def _slot_dims(res, slot, group, induced, window) -> dict[int, int]:
     """Nonzero dimensions at the slots in window, read off the stages of res.
 
     Stage i sits at slot(i, e) with e = res.edge(i), sup or inf of H(M_i),
     which the resolution holds before T_i is built.  Slots move strictly one
     way along the stages, so the walk stops at the first stage whose slot
-    is past the window.  stage_cap bounds the stages before that one: the
-    walk raises when the window needs a stage past index stage_cap.
+    is past the window.  STAGE_CAP bounds the stages before that one: the
+    walk raises when the window needs a stage past index STAGE_CAP.
     group(Q) is (dim, ...) for the group of the stage's heart module
     Q = H^e(T_i).  When stages i-1 and i share their edge, induced(alpha, G,
     H) is the map of groups induced by alpha = H^e(res.delta(i)), where G
@@ -235,7 +237,7 @@ def _slot_dims(res, slot, group, induced, window, stage_cap=64) -> dict[int, int
         edges.append(e)
         if (n > b) if up else (n < a):
             break
-        if i > stage_cap:
+        if i > STAGE_CAP:
             raise InsufficientStagesError("extend resolution: stage cap reached before covering the window")
     inside = [i for i, e in enumerate(edges) if a <= slot(i, e) <= b]
     pairs = [i for i in range(1, len(edges)) if edges[i - 1] == edges[i] and {i - 1, i} & set(inside)]
@@ -290,7 +292,7 @@ def tensor_over_h0(Q: hk.FDModule, L: hk.FDModule):
 
 
 def tor_table_via_spft(M: dg.DGModule, L: hk.FDModule, resolution: SppjResolution | None = None,
-                       window: tuple[int, int] = (-8, 0), stage_cap: int = 64) -> TorTable:
+                       window: tuple[int, int] = (-8, 0)) -> TorTable:
     """H^n(M (x)^L T) for a left heart module T, via the sup-flat slot
     formula with slots n = -i + sup P_i."""
     res = resolution or SppjResolution(M)
@@ -299,17 +301,16 @@ def tor_table_via_spft(M: dg.DGModule, L: hk.FDModule, resolution: SppjResolutio
         # Q_i (x) L -> Q_{i-1} (x) L through the ambient tensor products
         return la.matmul(H[1], la.matmul(np.kron(alpha, la.eye(L.dim)), G[2], M.p), M.p)
 
-    dims = _slot_dims(res, lambda i, s: s - i, lambda Q: tensor_over_h0(Q, L), induced, window, stage_cap)
+    dims = _slot_dims(res, lambda i, s: s - i, lambda Q: tensor_over_h0(Q, L), induced, window)
     return TorTable(window, dims, "spft")
 
 
 def hom_table_via_ifij(N: hk.FDModule, M: dg.DGModule, resolution: IfijResolution | None = None,
-                       window: tuple[int, int] = (0, 8), stage_cap: int = 64) -> HomTable:
+                       window: tuple[int, int] = (0, 8)) -> HomTable:
     """Hom(N, M[n]) for a heart module N, read off an inf-injective
     resolution through the dual slot formula, slots n = i + inf I_{-i}."""
     res = resolution or IfijResolution(M)
-    dims = _slot_dims(res, lambda i, t: i + t, lambda J: ((h := hk.hom_space(N, J)).dim, h), _pushed_forward,
-                      window, stage_cap)
+    dims = _slot_dims(res, lambda i, t: i + t, lambda J: ((h := hk.hom_space(N, J)).dim, h), _pushed_forward, window)
     return HomTable(window, dims, "ifij")
 
 

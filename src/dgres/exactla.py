@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
 Matrices are numpy int64 arrays with entries reduced mod p; a matrix of
 shape (m, n) represents a linear map k^n -> k^m acting on column vectors.
@@ -8,13 +8,9 @@ columns of that basis (pivots[i] is the first nonzero column of row i), so
 coordinates, membership and quotients are read off at the pivots without
 eliminating again.
 
-rref touches only what changes: at each pivot it normalises and eliminates
-the columns from the pivot column onward, and updates only the rows with a
-nonzero entry in the pivot column.  Rows that are zero on input stay zero and
-are set aside first.  Input that is already in RREF (nonzero rows first,
-leading columns strictly increasing, each leading entry 1 and alone in its
-column) is returned as it is after one vectorised check.  The reduced row
-echelon form is unique, so all of this gives the same matrix as a full sweep.
+rref is one sparse Gauss-Jordan elimination over rows held as {column:
+value} dicts of Python ints, which costs one dict update per nonzero it
+touches and no numpy call per pivot (see rref).
 
 Each caller eliminates once.  kernel eliminates the columns in reverse
 order: its vectors at the free columns, with the columns put back, are then
@@ -23,12 +19,11 @@ solve_many eliminates [m | rhs] once for all columns of rhs.
 
 p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
 is built, together with p > dim R^0 (the trace-form radical of R^0 needs it)
-and p^2 * max(total_dim, 1) < 2^63.  Entries are reduced mod p, so a product
-of two entries is below p^2 and an int64 sum of n such products is exact
-while n * p^2 < 2^63; matmul over an inner dimension n needs exactly that.
-The bound checked at construction covers every contraction over the
-algebra's own basis, such as dgcore's structure checks; at p = 32003 any
-inner dimension below 9e9 is safe.
+and p^2 * max(total_dim, 1) < 2^63.  rref is exact for every p; matmul is
+not: an int64 sum of n products of entries below p is exact while
+n * p^2 < 2^63.  The bound checked at construction covers every
+contraction over the algebra's own basis, such as dgcore's structure
+checks; at p = 32003 any inner dimension below 9e9 is safe.
 """
 
 from __future__ import annotations
@@ -81,58 +76,62 @@ def matmul(a, b, p: int) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
-def _rref_pivots(m, nz) -> list[int] | None:
-    """The pivot columns of m if m is already in RREF, else None; nz marks
-    the nonzero rows of m."""
-    r = np.count_nonzero(nz)
-    if not nz[:r].all():
-        return None  # a zero row above a nonzero one
-    if r == 0:
-        return []
-    lead = (m[:r] != 0).argmax(axis=1)
-    if (lead[1:] <= lead[:-1]).any() or (m[np.arange(r), lead] != 1).any():
-        return None
-    if (np.count_nonzero(m[:, lead], axis=0) != 1).any():
-        return None
-    return lead.tolist()
+def _subtract(dst: dict[int, int], f: int, src: dict[int, int], p: int) -> None:
+    """dst -= f * src in place, mod p, dropping the entries that cancel."""
+    for j, v in src.items():
+        if x := (dst.get(j, 0) - f * v) % p:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def _pivot_rows(m: np.ndarray, p: int) -> dict[int, dict[int, int]]:
+    """The nonzero rows of rref(m) as {lead column: {column: value}}, for m reduced mod p."""
+    r, c = np.nonzero(m)
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(r.tolist(), c.tolist(), m[r, c].tolist()):
+        rows.setdefault(i, {})[j] = v
+    piv: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        for lead in [j for j in row if j in piv]:
+            _subtract(row, row[lead], piv[lead], p)
+        if not row:
+            continue
+        lead = min(row)
+        if (inv := pow(row[lead], p - 2, p)) != 1:
+            row = {j: v * inv % p for j, v in row.items()}
+        for other in piv.values():
+            if lead in other:
+                _subtract(other, other[lead], row, p)
+        piv[lead] = row
+    return piv
 
 
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices.
+
+    Each row is read once from np.nonzero into a {column: value} dict of
+    Python ints and reduced by the pivot rows found so far; a row that
+    survives is normalised at its lead column, which is then cleared from
+    the earlier pivot rows.  The cost is one dict update per nonzero
+    touched, which suits the very sparse systems built here; a dense
+    100 x 100 matrix takes ten times as long as a numpy sweep per pivot.
+    The arithmetic is exact for every p, and the RREF is unique, so the
+    order in which rows are reduced does not show in the result.
+    """
     m = as_field(m, p)
-    nz = m.any(axis=1)
-    piv = _rref_pivots(m, nz)
-    if piv is not None:
-        return m, piv
+    piv = _pivot_rows(m, p)
+    pivots = sorted(piv)
     out = np.zeros_like(m)
-    a = m[nz]  # zero rows stay zero; the rest is reduced in place
-    rows = a.shape[0]
-    r = 0
-    pivots: list[int] = []
-    for c in a.any(axis=0).nonzero()[0].tolist():
-        if r == rows:
-            break
-        below = a[r:, c].nonzero()[0]
-        if below.size == 0:
-            continue
-        pr = r + int(below[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        hit = a[:, c].nonzero()[0]
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    out[:rows] = a
+    cells = [(i, j, v) for i, c in enumerate(pivots) for j, v in piv[c].items()]
+    if cells:
+        r, c, v = zip(*cells)
+        out[r, c] = v
     return out, pivots
 
 
 def rank(m, p: int) -> int:
-    return len(rref(m, p)[1])
+    return len(_pivot_rows(as_field(m, p), p))
 
 
 @dataclass(frozen=True)

@@ -186,9 +186,12 @@ def test_concentration_scan(koszul, tri2, nilp2):
     assert out["support"] == (0, 0)
     for R in (koszul, tri2):
         for n in (1, 2):
-            rep = rv.pd(battery.m_of(R, n), cap=8)
-            out = dv.concentration_scan(battery.m_of(R, n), window=(-4, n + 3))
+            M = battery.m_of(R, n)
+            rep = rv.pd(M, cap=8)
+            out = dv.concentration_scan(M, window=(-4, n + 3))
             assert out["support"] == (0, n), (R.label, n)
+            # the resolution's length is the Ext-vanishing dimension
+            assert rep.exact == n == dg.cohomology(M).sup + out["support"][1], (R.label, n)
     # heart simple over the Koszul algebra: classes at the even slots 2i
     out = dv.concentration_scan(battery.heart_simple(koszul, 0), window=(0, 5))
     assert out["support"] == (0, 4)
@@ -224,7 +227,7 @@ def test_tor_hom_duality(koszul):
         assert hom.dim(n) == tor.dim(-n), n
 
 
-def test_slot_routes_cover_long_windows_and_stop_at_the_stage_cap(nilp2):
+def test_slot_routes_cover_long_windows_and_stop_at_the_stage_cap(nilp2, monkeypatch):
     # over the dual numbers heart(S0) has one stage per slot in every route,
     # so a window of seven slots needs at least seven stages
     hd = hk.heart_of(nilp2)
@@ -232,13 +235,17 @@ def test_slot_routes_cover_long_windows_and_stop_at_the_stage_cap(nilp2):
     T = hk.simples(hk.heart_of(nilp2.opposite()).h0)[0]
     TL = hk.FDModule(hd.h0.opposite(), T.dim, T.action, label=T.label)
     M = battery.heart_simple(nilp2, 0)
+    monkeypatch.setattr(dv, "STAGE_CAP", 8)
     assert dv.hom_table_via_sppj(M, S, window=(0, 6)).dims == {n: 1 for n in range(0, 7)}
-    assert dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=8).dims == {n: 1 for n in range(0, 7)}
-    assert dv.tor_table_via_spft(M, TL, window=(-6, 0), stage_cap=8).dims == {n: 1 for n in range(-6, 1)}
+    assert dv.hom_table_via_ifij(S, M, window=(0, 6)).dims == {n: 1 for n in range(0, 7)}
+    assert dv.tor_table_via_spft(M, TL, window=(-6, 0)).dims == {n: 1 for n in range(-6, 1)}
+    monkeypatch.setattr(dv, "STAGE_CAP", 2)
     with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
-        dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=2)
+        dv.hom_table_via_ifij(S, M, window=(0, 6))
     with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
-        dv.tor_table_via_spft(M, TL, window=(-6, 0), stage_cap=2)
+        dv.tor_table_via_spft(M, TL, window=(-6, 0))
+    with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
+        dv.hom_table_via_sppj(M, S, window=(0, 6))
 
 
 def test_induced_hom_maps_match_loop_oracles(koszul, tri2, nilp2, k2, monkeypatch):

@@ -4,7 +4,9 @@ with different R^0.
 R ⊗ B' is quasi-isomorphic to R, B' = k<1, t> ⊕ k u with |u| = -1, du = t
 and every product of t and u zero, since H(B') = k; its R^0 is
 R^0 ⊗ k[t]/(t^2), not R^0.  R ⊗ M_2(k) is Morita equivalent to R, and its
-H0 has a 2 x 2 matrix block.  Either way gldim must not change.
+H0 has a 2 x 2 matrix block.  Either way gldim must not change.  A
+product A x B splits every module into its A and B parts, so its gldim is
+the larger of the two.
 """
 
 import numpy as np
@@ -19,6 +21,13 @@ P = 32003
 CAP = 4
 SPECS = ("field()", "nilpotent(2)", "triangular(2)")
 K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
+PRODUCTS = (
+    ("field()", "nilpotent(2)"),
+    ("triangular(2)", "matrix(2)"),
+    ("nilpotent(2)", "triangular(2)"),
+    ("triangular(2)", K2_SPEC),
+    ("koszul(x; k[x]/(x^2))", "triangular(2)"),
+)
 
 
 def tensor_dga(A, B):
@@ -111,3 +120,14 @@ def test_gldim_is_invariant_under_morita_equivalence(spec):
     T = tensor_dga(R, battery.builtin_algebra("matrix(2)", P))
     assert dg.validate(T) == []
     assert same_gldim(T, R)
+
+
+@pytest.mark.parametrize("specs", PRODUCTS)
+def test_gldim_of_a_product_is_the_larger_gldim(specs):
+    A, B = (battery.builtin_algebra(spec, P) for spec in specs)
+    a, b, t = (rv.gldim(R, cap=CAP) for R in (A, B, battery.product_dga(A, B)))
+    if a.exact is None or b.exact is None:
+        # a factor of gldim at least CAP makes the product's at least CAP too
+        assert (t.exact, t.at_least) == (None, CAP)
+    else:
+        assert (t.exact, t.at_least) == (max(a.exact, b.exact), None)

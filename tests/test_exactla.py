@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,3 +353,109 @@ def test_rref_of_rref_input_and_of_near_rref_mutants(mp, mutant, seed):
     assert not np.array_equal(want, x)  # the mutant is not in RREF
     got, got_piv = la.rref(x, p)
     assert np.array_equal(got, want) and got_piv == want_piv
+
+
+P_MAX = 3_037_000_493  # the largest prime with p^2 < 2^63, the largest p a DGAlgebra accepts
+
+
+def rref_int_oracle(rows, cols, p):
+    """RREF of a list of rows of Python ints, with every product exact."""
+    m = [[int(v) % p for v in row] for row in rows]
+    r, pivots = 0, []
+    for c in range(cols):
+        k = next((k for k in range(r, len(m)) if m[k][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(a - f * b) % p for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _int_array(rows, cols):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+
+
+@st.composite
+def mats_at_p_max(draw):
+    """Matrices over GF(P_MAX) as lists of Python ints: random with many
+    entries -1, low rank, monomial (one nonzero per column), in RREF, and
+    near-RREF mutants."""
+    p = P_MAX
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("random", "low rank", "monomial", "rref", "near rref")))
+
+    def entry():
+        return int(rng.choice([1, p - 1, int(rng.integers(1, p))])) if rng.random() < 0.4 else 0
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "low rank" and rows:
+        base = m[: max(1, rows // 3)]
+        coeffs = [[int(rng.integers(0, p)) for _ in base] for _ in range(rows)]
+        m = [[sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(cols)] for cs in coeffs]
+    elif kind == "monomial":
+        m = [[0] * cols for _ in range(rows)]
+        for j in range(cols if rows else 0):
+            m[int(rng.integers(rows))][j] = int(rng.integers(1, p))
+    elif kind in ("rref", "near rref"):
+        m, piv = rref_int_oracle(m, cols, p)
+        if kind == "near rref":
+            mutant = draw(st.sampled_from(("leading entry not 1", "second nonzero in a pivot column",
+                                           "zero row in the middle", "rows out of order", "equal leading columns")))
+            x = _near_rref(_int_array(m, cols), piv, mutant, rng, p)
+            m = m if x is None else x.tolist()
+    return m, cols
+
+
+def test_p_max_is_the_largest_prime_the_entry_check_accepts():
+    assert la.is_prime(P_MAX) and P_MAX**2 < 2**63
+    assert not any(la.is_prime(q) for q in range(P_MAX + 1, math.isqrt(2**63 - 1) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mats_at_p_max(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_elimination_is_exact_at_the_largest_accepted_prime(mc, k, seed):
+    rows, cols = mc
+    p, m = P_MAX, _int_array(rows, cols)
+    rr, piv = rref_int_oracle(rows, cols, p)
+    got, got_piv = la.rref(m, p)
+    assert np.array_equal(got, _int_array(rr, cols)) and got_piv == piv
+    assert la.rank(m, p) == len(piv)
+    sub = la.span(m, cols, p)
+    assert np.array_equal(sub.basis, _int_array(rr[: len(piv)], cols)) and sub.pivots == piv
+    # the kernel's canonical basis: a vector per free column, then their RREF
+    free = [c for c in range(cols) if c not in piv]
+    vecs = [[int(c == f) for c in range(cols)] for f in free]
+    for v, f in zip(vecs, free):
+        for i, c in enumerate(piv):
+            v[c] = -rr[i][f] % p
+    ker_rr, ker_piv = rref_int_oracle(vecs, cols, p)
+    ker = la.kernel(m, p)
+    assert np.array_equal(ker.basis, _int_array(ker_rr, cols)) and ker.pivots == ker_piv
+    # solve_many against one exact elimination of [m | b] per column, with
+    # some columns in the image of m
+    rng = np.random.default_rng(seed)
+    rhs = [[int(rng.integers(0, p)) for _ in range(k)] for _ in rows]
+    for j in range(0, k, 2):
+        x = [int(rng.integers(0, p)) for _ in range(cols)]
+        for i, row in enumerate(rows):
+            rhs[i][j] = sum(a * b for a, b in zip(row, x)) % p
+    want = np.zeros((cols, k), dtype=np.int64)
+    for j in range(k):
+        aug_rr, aug_piv = rref_int_oracle([row + [b[j]] for row, b in zip(rows, rhs)], cols + 1, p)
+        if cols in aug_piv:
+            want = None
+            break
+        for i, c in enumerate(aug_piv):
+            want[c, j] = aug_rr[i][cols]
+    got = la.solve_many(m, _int_array(rhs, k), p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)

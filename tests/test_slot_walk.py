@@ -82,14 +82,16 @@ def test_an_acyclic_module_ends_at_construction_and_no_model_lies_past_the_lengt
         res.model(3)
 
 
-def test_the_stage_cap_counts_the_stages_the_window_needs(nilp2):
+def test_the_stage_cap_counts_the_stages_the_window_needs(nilp2, monkeypatch):
     # over the dual numbers heart(S0) has one stage per slot, so the window
     # (0, 6) reads stages 0..6 and the walk stops at stage 7's edge
     S = hk.simples(hk.heart_of(nilp2).h0)[0]
     M = battery.heart_simple(nilp2, 0)
-    assert dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=6).dims == {n: 1 for n in range(0, 7)}
+    monkeypatch.setattr(dv, "STAGE_CAP", 6)
+    assert dv.hom_table_via_ifij(S, M, window=(0, 6)).dims == {n: 1 for n in range(0, 7)}
+    monkeypatch.setattr(dv, "STAGE_CAP", 5)
     with pytest.raises(dv.InsufficientStagesError, match="stage cap"):
-        dv.hom_table_via_ifij(S, M, window=(0, 6), stage_cap=5)
+        dv.hom_table_via_ifij(S, M, window=(0, 6))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
