@@ -98,7 +98,8 @@ def _pivot_rows(m: np.ndarray, p: int) -> dict[int, dict[int, int]]:
         if not row:
             continue
         lead = min(row)
-        if (inv := pow(row[lead], p - 2, p)) != 1:
+        if row[lead] != 1:
+            inv = pow(row[lead], p - 2, p)
             row = {j: v * inv % p for j, v in row.items()}
         for other in piv.values():
             if lead in other:
@@ -122,11 +123,10 @@ def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
     m = as_field(m, p)
     piv = _pivot_rows(m, p)
     pivots = sorted(piv)
-    out = np.zeros_like(m)
-    cells = [(i, j, v) for i, c in enumerate(pivots) for j, v in piv[c].items()]
-    if cells:
-        r, c, v = zip(*cells)
-        out[r, c] = v
+    out = zeros(*m.shape)
+    for i, c in enumerate(pivots):
+        for j, v in piv[c].items():
+            out[i, j] = v
     return out, pivots
 
 
