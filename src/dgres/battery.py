@@ -173,9 +173,9 @@ def koszul_dga(base: dg.DGAlgebra, elements: list[np.ndarray], element_names=Non
                 if not set(S) & set(T):
                     ext[a, b, where[tuple(sorted(S + T))]] = (-1) ** sum(s > t for s in S for t in T)
             shape = (dims[-ki], dims[-kj], dims[-ki - kj])
-            mult[(-ki, -kj)] = np.einsum("STU,uvw->SuTvUw", ext, B).reshape(shape) % p
+            mult[(-ki, -kj)] = la.contract("STU,uvw->SuTvUw", ext, B, p).reshape(shape)
     # b_u -> b_u x_s as a matrix, one per element
-    right_mult = [np.einsum("b,ubw->wu", la.as_field(x, p), B) % p for x in elements]
+    right_mult = [la.contract("b,ubw->wu", la.as_field(x, p), B, p) for x in elements]
     diff = {}
     for k in range(1, len(subsets)):
         diff[-k] = d = la.zeros(dims[1 - k], dims[-k])

@@ -194,7 +194,7 @@ def _generator_complex(sf: SemifreeResolution, L: dg.DGModule, window: tuple[int
         for (h, g), z in sf.twists.items():
             t, zdeg = n - s[g], s[g] + 1 - s[h]
             if L.dim(t) and L.dim(t + zdeg):
-                blk = np.einsum("xby,b->yx", L.act_tensor(t, zdeg), z) % p
+                blk = la.contract("xby,b->yx", L.act_tensor(t, zdeg), z, p)
                 d[tgt[h] : tgt[h + 1], src[g] : src[g + 1]] += (-1) ** (zdeg * t % 2) * blk
         diff[n] = d % p
     return dg.KComplex(p, dims, diff, label=f"F⊗({L.label})")
@@ -335,8 +335,7 @@ def heart_battery(R: dg.DGAlgebra) -> list[hk.FDModule]:
 
 
 def _coords_in(outer: la.Subspace, inner: la.Subspace, p: int) -> la.Subspace:
-    rows = [outer.coordinates(v) for v in inner.basis]
-    return la.span(rows if rows else la.zeros(0, outer.dim), outer.dim, p)
+    return la.span(outer.coordinates(inner.basis), outer.dim, p)
 
 
 def concentration_scan(M: dg.DGModule, battery: list[hk.FDModule] | None = None,

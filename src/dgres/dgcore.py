@@ -102,7 +102,8 @@ class DGAlgebra(Graded):
 
     def __post_init__(self):
         # exactla's inverses need p prime, the trace-form radical p > dim R^0;
-        # an int64 contraction over R's basis adds <= total_dim products < p^2
+        # the overflow clause keeps one product of two entries below p in int64,
+        # as a chunk of exactla's contractions and an entrywise product need
         p, n = self.p, self.total_dim
         if not la.is_prime(p):
             raise hk.ConfigurationError(f"p must be prime, got p={p}")
@@ -118,11 +119,11 @@ class DGAlgebra(Graded):
         return t
 
     def multiply(self, u, i: int, v, j: int) -> np.ndarray:
-        return np.einsum("a,b,abc->c", la.as_field(u, self.p), la.as_field(v, self.p), self.mult_tensor(i, j)) % self.p
+        return la.matmul(self.left_mult_matrix(u, i, j), la.as_field(v, self.p), self.p)
 
     def left_mult_matrix(self, u, i: int, j: int) -> np.ndarray:
         """Matrix of R^j -> R^{i+j}, x -> u x, for u in R^i."""
-        return np.einsum("a,abc->cb", la.as_field(u, self.p), self.mult_tensor(i, j)) % self.p
+        return la.contract("a,abc->cb", la.as_field(u, self.p), self.mult_tensor(i, j), self.p)
 
     def regular_module(self) -> "DGModule":
         if "regular" not in self._memo:
@@ -173,7 +174,8 @@ class DGModule(Graded):
         return t
 
     def action(self, m, i: int, r, j: int) -> np.ndarray:
-        return np.einsum("a,b,abc->c", la.as_field(m, self.p), la.as_field(r, self.p), self.act_tensor(i, j)) % self.p
+        right = la.contract("a,abc->bc", la.as_field(m, self.p), self.act_tensor(i, j), self.p)
+        return la.matmul(la.as_field(r, self.p), right, self.p)
 
 
 @dataclass
@@ -236,8 +238,8 @@ def _dd_failures(X) -> list[str]:
 
 
 def _leibniz_failures(t, d, dR, i, j, p):
-    lhs = np.einsum("abx,cx->abc", t(i, j), d(i + j)) % p
-    rhs = np.einsum("xa,xbc->abc", d(i), t(i + 1, j)) % p + (-1) ** i * (np.einsum("yb,ayc->abc", dR(j), t(i, j + 1)) % p)
+    lhs = la.contract("abx,cx->abc", t(i, j), d(i + j), p)
+    rhs = la.contract("xa,xbc->abc", d(i), t(i + 1, j), p) + (-1) ** i * la.contract("yb,ayc->abc", dR(j), t(i, j + 1), p)
     return _differ(lhs, rhs, p)
 
 
@@ -246,8 +248,8 @@ def _assoc_failures(t, mR, i, j, k, p):
     step = max(1, _ASSOC_BLOCK // max(1, bc.shape[0] * bc.shape[1] * a_bc.shape[2]))
     out = []
     for a0 in range(0, ab.shape[0], step):
-        lhs = np.einsum("abx,xcy->abcy", ab[a0 : a0 + step], ab_c) % p
-        rhs = np.einsum("bcx,axy->abcy", bc, a_bc[a0 : a0 + step]) % p
+        lhs = la.contract("abx,xcy->abcy", ab[a0 : a0 + step], ab_c, p)
+        rhs = la.contract("bcx,axy->abcy", bc, a_bc[a0 : a0 + step], p)
         out += [(a0 + a, b, c) for a, b, c in _differ(lhs, rhs, p)]
     return out
 
@@ -268,8 +270,8 @@ def validate_algebra(R: DGAlgebra) -> list[str]:
     p, degs, m, u = R.p, R.degrees(), R.mult_tensor, la.as_field(R.unit, R.p)
     bad += _dd_failures(R)
     for j in degs:
-        left = ((np.einsum("a,abc->bc", u, m(0, j)) - la.eye(R.dim(j))) % p).any(axis=1)
-        right = ((np.einsum("b,abc->ac", u, m(j, 0)) - la.eye(R.dim(j))) % p).any(axis=1)
+        left = (la.contract("a,abc->bc", u, m(0, j), p) != la.eye(R.dim(j))).any(axis=1)
+        right = (la.contract("b,abc->ac", u, m(j, 0), p) != la.eye(R.dim(j))).any(axis=1)
         for b in range(R.dim(j)):
             bad += [f"unit fails on {side} of basis ({j},{b})" for side, x in (("left", left), ("right", right)) if x[b]]
     for i in degs:
@@ -300,7 +302,7 @@ def validate_module(M: DGModule) -> list[str]:
     R, p = M.algebra, M.p
     bad, u = _dd_failures(M), la.as_field(R.unit, p)
     for i in M.degrees():
-        unit = np.einsum("b,abc->ac", u, M.act_tensor(i, 0))
+        unit = la.contract("b,abc->ac", u, M.act_tensor(i, 0), p)
         bad += [f"unit fails on basis ({i},{m})" for (m,) in _differ(unit, la.eye(M.dim(i)), p)]
     for i in M.degrees():
         for j in R.degrees():
@@ -328,8 +330,8 @@ def validate_morphism(f: DGMorphism) -> list[str]:
             bad.append(f"not a chain map at degree {i}")
     for i in M.degrees():
         for j in M.algebra.degrees():
-            lhs = np.einsum("mrx,yx->mry", M.act_tensor(i, j), f.block(i + j)) % p
-            rhs = np.einsum("xm,xry->mry", f.block(i), N.act_tensor(i, j)) % p
+            lhs = la.contract("mrx,yx->mry", M.act_tensor(i, j), f.block(i + j), p)
+            rhs = la.contract("xm,xry->mry", f.block(i), N.act_tensor(i, j), p)
             bad += [f"not R-linear at ({i},{j}) basis ({m},{r})" for m, r in _differ(lhs, rhs, p)]
     return bad
 
@@ -389,18 +391,16 @@ class CohomologyData:
         lo, hi = self.window
         if not lo <= i <= hi:
             raise ValueError(f"degree {i} lies outside the cohomology window [{lo}, {hi}]")
-        z = la.as_field(z, self.p)
+        z = np.asarray(z)
         Z = self.cycle_basis.get(i)
         if Z is None:
             if self.dim(i):
                 raise ValueError(f"degree {i} has classes but no cycle basis to project onto")
             return np.zeros((0,) + z.shape[1:], dtype=np.int64)
-        coords = z[Z.pivots]
-        if np.any(z != la.matmul(Z.basis.T, coords, self.p)):
+        coords = Z.coordinates(z.T)
+        if coords is None:
             raise ValueError(f"vector is not a cocycle in degree {i}")
-        if self.dim(i) == 0:
-            return np.zeros((0,) + z.shape[1:], dtype=np.int64)
-        return la.matmul(self.class_proj[i], coords, self.p)
+        return la.matmul(self.class_proj.get(i, la.zeros(0, Z.dim)), coords.T, self.p)
 
     def rep(self, i: int, coords) -> np.ndarray:
         return la.matmul(self.reps[i], coords, self.p)
@@ -427,10 +427,9 @@ def cohomology(M, with_action: bool = True, window: tuple | None = None) -> Coho
             continue
         Z = la.kernel(M.diff_mat(i), p)
         B = la.span(M.diff_mat(i - 1).T, M.dim(i), p)
-        # coordinates of the boundary space inside the cycle space, read at
-        # the pivots of Z; B's pivots are among Z's, so bc is already in RREF
-        bc = B.basis[:, Z.pivots]
-        if np.any(B.basis != la.matmul(bc, Z.basis, p)):
+        # B inside Z, in Z's coordinates: B's pivots are among Z's, so bc is in RREF
+        bc = Z.coordinates(B.basis)
+        if bc is None:
             raise RuntimeError("boundary is not a cycle; differential tables corrupt")
         Bin = la.Subspace(p, Z.dim, bc, [Z.pivots.index(c) for c in B.pivots])
         proj, sect = la.quotient_basis(Bin)
@@ -461,8 +460,8 @@ def _fill_action(M: DGModule, data: CohomologyData):
             if data.dim(i + j) == 0:
                 continue
             # the products rep_a . rep_b as columns, in (a, b) order
-            prod = np.einsum("xa,xyc->ayc", data.reps[i], M.act_tensor(i, j)) % p
-            prod = np.einsum("yb,ayc->cab", cohR.reps[j], prod) % p
+            prod = la.contract("xa,xyc->ayc", data.reps[i], M.act_tensor(i, j), p)
+            prod = la.contract("yb,ayc->cab", cohR.reps[j], prod, p)
             classes = data.project(i + j, prod.reshape(-1, hi * hj))
             data.action[(i, j)] = classes.T.reshape(hi, hj, -1)
 
@@ -594,7 +593,7 @@ def truncate(M: DGModule, n: int, side: str):
         for j in R.degrees():
             if i + j in dims:
                 # t[x, b, y] is (basis_x . r_b)[y]; read acts on columns y
-                t = np.tensordot(basis[i], M.act_tensor(i, j), axes=(0, 0)) % p
+                t = la.contract("xk,xby->kby", basis[i], M.act_tensor(i, j), p)
                 act[(i, j)] = np.moveaxis(read(i + j, np.moveaxis(t, 0, -1)), -1, 0)
     if below:
         S = DGModule(R, dims, diff, act, label=f"trunc<= {n}({M.label})")
@@ -735,7 +734,7 @@ def free_map(F: DGModule, M: DGModule, images: list[np.ndarray]) -> DGMorphism:
         for (X, n), image in zip(F.parts, images):
             nb = X.dim(i + n)
             if nb and M.dim(i):
-                b[:, c0 : c0 + nb] = np.einsum("x,xtc->ct", la.as_field(image, p), M.act_tensor(-n, i + n)) % p
+                b[:, c0 : c0 + nb] = la.contract("x,xtc->ct", la.as_field(image, p), M.act_tensor(-n, i + n), p)
             c0 += nb
         blocks[i] = b
     return DGMorphism(F, M, blocks)
@@ -904,7 +903,7 @@ def psi(R: DGAlgebra, K: hk.FDModule) -> DGModule:
             k = i + j
             if k in phis:
                 # (phi . r)(s) = phi(r s) on R^{-k}, for phi and r in the bases
-                maps = np.einsum("akc,bxc->abkx", phis[i], R.mult_tensor(j, -k))
+                maps = la.contract("akc,bxc->abkx", phis[i], R.mult_tensor(j, -k), p)
                 act[(i, j)] = spaces[k].coords(maps)
     return DGModule(R, dims, diff, act, label=f"psi({K.label})", _psi_spaces=spaces)
 

@@ -5,8 +5,8 @@ shape (m, n) represents a linear map k^n -> k^m acting on column vectors.
 Subspaces are stored by their unique reduced row echelon basis, so subspace
 equality is plain array comparison.  A Subspace also carries the pivot
 columns of that basis (pivots[i] is the first nonzero column of row i), so
-coordinates, membership and quotients are read off at the pivots without
-eliminating again.
+coordinates (Subspace.coordinates, the one reader), membership and
+quotients are read off at the pivots without eliminating again.
 
 rref is one sparse Gauss-Jordan elimination over rows held as {column:
 value} dicts of Python ints, which costs one dict update per nonzero it
@@ -19,21 +19,26 @@ solve_many eliminates [m | rhs] once for all columns of rhs.
 
 p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
 is built, together with p > dim R^0 (the trace-form radical of R^0 needs it)
-and p^2 * max(total_dim, 1) < 2^63.  rref is exact for every p; matmul is
-not: an int64 sum of n products of entries below p is exact while
-n * p^2 < 2^63.  The bound checked at construction covers every
-contraction over the algebra's own basis, such as dgcore's structure
-checks; at p = 32003 any inner dimension below 9e9 is safe.
+and p^2 * max(total_dim, 1) < 2^63.  rref works in Python ints, exactly for
+every p.  Every product of arrays of field elements is formed by matmul or
+contract, and no other module contracts arrays: an int64 sum adds at most
+max(1, (2^63 - 1) // (p - 1)^2) products of entries below p, a chunk, and is
+reduced mod p after each (delayed modular reduction, Dumas, Giorgi and
+Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008).  At p = 32003 a chunk
+holds 9e9 products, so each contraction is one numpy call; near the largest
+accepted p it holds one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 DEFAULT_PRIME = 32003
+INT64_MAX = 2**63 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -72,8 +77,46 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def _chunk(p: int) -> int:
+    """The most products of two entries below p that one int64 sum holds."""
+    return max(1, INT64_MAX // (p - 1) ** 2)
+
+
+def _cut(x: np.ndarray, letters: str, c: str, lo: int, hi: int) -> np.ndarray:
+    """x with every axis labelled c cut to [lo, hi)."""
+    return x[tuple(slice(lo, hi) if t == c else slice(None) for t in letters)]
+
+
 def matmul(a, b, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    """a @ b mod p, with numpy's broadcasting, for entries of absolute value
+    below p; the inner sum is reduced after each chunk (module docstring)."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = a.shape[-1]
+    if n * (p - 1) ** 2 <= INT64_MAX:
+        return (a @ b) % p
+    step = _chunk(p)
+    return sum((a[..., lo : lo + step] @ (b[lo : lo + step] if b.ndim == 1 else b[..., lo : lo + step, :])) % p
+               for lo in range(0, n, step)) % p
+
+
+def contract(spec: str, a, b, p: int) -> np.ndarray:
+    """np.einsum(spec, a, b) mod p for a spec such as "ab,bc->ac" and entries
+    of absolute value below p.  While the summed letters' sizes multiply to
+    more than a chunk (module docstring), the first is cut into slabs."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    # every summed letter labels an axis of a or b, so a.size * b.size bounds the products per sum
+    if a.size * b.size * (p - 1) ** 2 <= INT64_MAX:
+        return np.einsum(spec, a, b) % p
+    sa, sb, out = spec.replace("->", ",").split(",")
+    size = dict(zip(sa + sb, a.shape + b.shape))
+    summed = [c for c in size if c not in out and size[c] > 1]
+    n, step = math.prod(size[c] for c in summed), _chunk(p)
+    if n <= step:
+        return np.einsum(spec, a, b) % p
+    c = summed[0]
+    w = max(1, step // (n // size[c]))
+    slabs = (contract(spec, _cut(a, sa, c, lo, lo + w), _cut(b, sb, c, lo, lo + w), p) for lo in range(0, size[c], w))
+    return sum(slabs) % p
 
 
 def _subtract(dst: dict[int, int], f: int, src: dict[int, int], p: int) -> None:
@@ -151,20 +194,18 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def coordinates(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
+        """Coordinates in the RREF basis of v, or of each vector in a stack
+        (..., ambient_dim), as (..., dim), read at the pivots; None if one
+        product rebuilding the vectors from them shows any outside."""
         v = as_field(v, self.p)
-        coords = v[self.pivots]
-        if np.any((v - coords @ self.basis) % self.p):
+        coords = v[..., self.pivots]
+        if np.any(matmul(coords, self.basis, self.p) != v):
             return None
         return coords
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis.shape == other.basis.shape
-            and np.array_equal(self.basis, other.basis)
-        )
+        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and np.array_equal(self.basis, other.basis))
 
 
 def span(vectors, ambient_dim: int, p: int) -> Subspace:
@@ -225,31 +266,19 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if a.ambient_dim != b.ambient_dim or a.p != b.p:
         raise ValueError("intersection: ambient mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return span(zeros(0, a.ambient_dim), a.ambient_dim, a.p)
     stacked = np.concatenate([a.basis.T, -b.basis.T % a.p], axis=1)
     ker = kernel(stacked, a.p)
-    vecs = [(row[: a.dim] @ a.basis) % a.p for row in ker.basis]
-    return span(vecs if vecs else zeros(0, a.ambient_dim), a.ambient_dim, a.p)
+    return span(matmul(ker.basis[:, : a.dim], a.basis, a.p), a.ambient_dim, a.p)
 
 
-@dataclass
-class MapSpace:
-    """A subspace of Hom_k(k^cols, k^rows) with a canonical basis.
+class MapSpace(Subspace):
+    """A subspace of Hom_k(k^cols, k^rows) with a canonical basis: the
+    Subspace of row-major vectorisations, ambient_dim = rows * cols."""
 
-    Basis rows are row-major vectorizations in reduced row echelon form, so
-    coordinates of a member map are read off at the pivot positions.
-    """
-
-    p: int
-    rows: int
-    cols: int
-    basis: np.ndarray  # (dim, rows*cols)
-    pivots: list[int]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def __init__(self, p: int, rows: int, cols: int, basis: np.ndarray, pivots: list[int]):
+        super().__init__(p, rows * cols, basis, pivots)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     def matrix(self, k: int) -> np.ndarray:
         return self.basis[k].reshape(self.rows, self.cols)
@@ -261,13 +290,11 @@ class MapSpace:
     def coords(self, mats) -> np.ndarray:
         """Coordinates of a map known to lie in the space, or of each map in
         a stack (..., rows, cols), as an array (..., dim)."""
-        v = as_field(mats, self.p)
-        lead = v.shape[:-2]
-        v = v.reshape(-1, self.rows * self.cols)
-        c = v[:, self.pivots]
-        if np.any((v - c @ self.basis) % self.p):
+        shape = np.shape(mats)[:-2]
+        c = self.coordinates(np.reshape(mats, shape + (self.ambient_dim,)))
+        if c is None:
             raise ValueError("MapSpace.coords: map is outside the space")
-        return c.reshape(lead + (self.dim,))
+        return c
 
 
 def relations(src, tgt, p: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -100,15 +100,15 @@ class OrdinaryAlgebra:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def multiply(self, u, v) -> np.ndarray:
-        return np.einsum("a,b,abc->c", la.as_field(u, self.p), la.as_field(v, self.p), self.mult) % self.p
+        return la.matmul(self.left_mult(u), la.as_field(v, self.p), self.p)
 
     def left_mult(self, v) -> np.ndarray:
         """Matrix of x -> v x."""
-        return np.einsum("a,abc->cb", la.as_field(v, self.p), self.mult) % self.p
+        return la.contract("a,abc->cb", la.as_field(v, self.p), self.mult, self.p)
 
     def right_mult(self, v) -> np.ndarray:
         """Matrix of x -> x v."""
-        return np.einsum("b,abc->ca", la.as_field(v, self.p), self.mult) % self.p
+        return la.contract("b,abc->ca", la.as_field(v, self.p), self.mult, self.p)
 
     def opposite(self) -> "OrdinaryAlgebra":
         if "opposite" not in self._cache:
@@ -124,23 +124,16 @@ class OrdinaryAlgebra:
         return self._cache["opposite"]
 
     def validate(self) -> list[str]:
-        bad = []
-        n = self.dim
-        basis = la.eye(n)
-        for a in range(n):
-            if np.any(self.multiply(self.unit, basis[a]) != basis[a]):
-                bad.append(f"unit fails on left of e_{a}")
-            if np.any(self.multiply(basis[a], self.unit) != basis[a]):
-                bad.append(f"unit fails on right of e_{a}")
-        for a in range(n):
-            for b in range(n):
-                ab = self.multiply(basis[a], basis[b])
-                for c in range(n):
-                    lhs = self.multiply(ab, basis[c])
-                    rhs = self.multiply(basis[a], self.multiply(basis[b], basis[c]))
-                    if np.any(lhs != rhs):
-                        bad.append(f"associativity fails at ({a},{b},{c})")
-        return bad
+        """Failures of the unit and associativity identities, each one tensor
+        equation mod p: left_mult(unit) = 1 = right_mult(unit), and
+        einsum("abx,xcy->abcy", mult, mult) = einsum("bcx,axy->abcy", mult, mult)."""
+        n, p, mult = self.dim, self.p, self.mult
+        left = (self.left_mult(self.unit) != la.eye(n)).any(axis=0)
+        right = (self.right_mult(self.unit) != la.eye(n)).any(axis=0)
+        bad = [f"unit fails on {side} of e_{a}" for a in range(n) for side, x in (("left", left), ("right", right)) if x[a]]
+        lhs = la.contract("abx,xcy->abcy", mult, mult, p)
+        rhs = la.contract("bcx,axy->abcy", mult, mult, p)
+        return bad + [f"associativity fails at ({a},{b},{c})" for a, b, c in np.argwhere((lhs != rhs).any(axis=-1))]
 
 
 def quotient_algebra(A: OrdinaryAlgebra, ideal: Subspace):
@@ -160,8 +153,8 @@ def quotient_algebra(A: OrdinaryAlgebra, ideal: Subspace):
 
 def _trace_kernel(A: OrdinaryAlgebra) -> Subspace:
     # G[a, b] = trace of left multiplication by e_a e_b; t[j] = tr(L_{e_j})
-    t = np.einsum("jbb->j", A.mult) % A.p
-    G = np.einsum("abj,j->ab", A.mult, t) % A.p
+    t = la.contract("jbc,bc->j", A.mult, la.eye(A.dim), A.p)
+    G = la.contract("abj,j->ab", A.mult, t, A.p)
     return la.kernel(G.T, A.p)
 
 
@@ -215,27 +208,20 @@ class FDModule:
 
     def act(self, v, a) -> np.ndarray:
         """v . a for an algebra element a given by coordinates."""
-        mat = np.einsum("a,aij->ij", la.as_field(a, self.algebra.p), self.action) % self.algebra.p
-        return la.matmul(mat, v, self.algebra.p)
+        return la.matmul(self.action_of(a), la.as_field(v, self.algebra.p), self.algebra.p)
 
     def action_of(self, a) -> np.ndarray:
-        return np.einsum("a,aij->ij", la.as_field(a, self.algebra.p), self.action) % self.algebra.p
+        return la.contract("a,aij->ij", la.as_field(a, self.algebra.p), self.action, self.algebra.p)
 
     def validate(self) -> list[str]:
+        """Failures of the module identities, each one tensor equation mod p:
+        action_of(unit) = 1, and v . (e_a e_b) = (v . e_a) . e_b, that is
+        einsum("abc,cij->abij", mult, action) = einsum("bik,akj->abij", action, action)."""
         A, p = self.algebra, self.algebra.p
-        bad = []
-        if self.dim == 0:
-            return bad
-        if np.any(self.action_of(A.unit) != la.eye(self.dim)):
-            bad.append("unit does not act as identity")
-        for a in range(A.dim):
-            for b in range(A.dim):
-                ab = A.mult[a, b]
-                lhs = self.action_of(ab)
-                rhs = la.matmul(self.action[b], self.action[a], p)
-                if np.any(lhs != rhs):
-                    bad.append(f"action breaks associativity at ({a},{b})")
-        return bad
+        bad = ["unit does not act as identity"] if np.any(self.action_of(A.unit) != la.eye(self.dim)) else []
+        lhs = la.contract("abc,cij->abij", A.mult, self.action, p)
+        rhs = la.contract("bik,akj->abij", self.action, self.action, p)
+        return bad + [f"action breaks associativity at ({a},{b})" for a, b in np.argwhere((lhs != rhs).any(axis=(2, 3)))]
 
 
 def zero_module(A: OrdinaryAlgebra) -> FDModule:
@@ -268,16 +254,12 @@ def direct_sum(mods: list[FDModule]):
 
 
 def coordinates(sub: Subspace, cols, what: str) -> np.ndarray:
-    """Coordinates in sub's RREF basis of the columns of cols (..., n, k).
-
-    They are read at sub's pivots, as (..., dim sub, k); one whole-array
-    check confirms that every column lies in sub, and a RuntimeError naming
-    `what` is raised when one does not.
-    """
-    coords = cols[..., sub.pivots, :]
-    if np.any(la.matmul(sub.basis.T, coords, sub.p) != cols):
+    """Coordinates in sub's RREF basis of the columns of cols (..., n, k), as
+    (..., dim sub, k); a RuntimeError naming `what` if one lies outside sub."""
+    coords = sub.coordinates(np.swapaxes(cols, -1, -2))
+    if coords is None:
         raise RuntimeError(f"{what}: subspace is not stable under the action")
-    return coords
+    return np.swapaxes(coords, -1, -2)
 
 
 def restrict(action, sub: Subspace, what: str) -> np.ndarray:
@@ -295,7 +277,7 @@ def quotient(action, sub: Subspace):
 def pull_back(action, m, p: int) -> np.ndarray:
     """The action tensor (A, d, d) along the linear map m (A, B) into the
     algebra: b acts as sum_a m[a, b] action[a], (B, d, d)."""
-    return np.tensordot(la.as_field(m, p), action, axes=(0, 0)) % p
+    return la.contract("ab,axy->bxy", la.as_field(m, p), action, p)
 
 
 def submodule(M: FDModule, vectors, label="") -> tuple[FDModule, np.ndarray]:
@@ -408,14 +390,13 @@ def _block_split(A: OrdinaryAlgebra, S: OrdinaryAlgebra, rng):
     while queue:
         u = queue.pop()
         # center of the block uS: central elements z with zu = z
-        uZ = [S.multiply(z, u) for z in center]
-        basis = la.span(uZ, S.dim, S.p)
+        basis = la.span(la.matmul(center, S.right_mult(u).T, S.p), S.dim, S.p)
         if basis.dim == 1:
             finished.append(u)
             continue
         for _ in range(CENTRAL_SPLIT_TRIES):
             coeffs = rng.integers(0, S.p, size=basis.dim)
-            pairs = _eigen_idempotents(S, u, (coeffs @ basis.basis) % S.p, rng)
+            pairs = _eigen_idempotents(S, u, la.matmul(coeffs, basis.basis, S.p), rng)
             if pairs is None:
                 raise UnsplitFactorError("a central element of A/rad does not split over GF(p)")
             if len(pairs) > 1:
@@ -430,8 +411,7 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng):
     """The block uS, a simple right ideal W of it and the size n of the
     matrix algebra uS, as (uS, W, n) with uS and W subspaces of S."""
     p = S.p
-    block_rows = [S.multiply(u, la.eye(S.dim)[a]) for a in range(S.dim)]
-    B = la.span(block_rows, S.dim, p)  # basis of uS inside S
+    B = la.span(S.left_mult(u).T, S.dim, p)  # basis of uS inside S, spanned by the u e_a
     d = B.dim
     n = int(round(d ** 0.5))
     if n * n != d:
@@ -442,7 +422,7 @@ def _simple_of_block(S: OrdinaryAlgebra, u, rng):
         coeffs = rng.integers(0, p, size=d)
         # e uS is the λ-eigenspace of left multiplication by b on uS: a
         # simple right ideal when λ is a simple eigenvalue of b
-        for _, e in _eigen_idempotents(S, u, (coeffs @ B.basis) % p, rng) or ():
+        for _, e in _eigen_idempotents(S, u, la.matmul(coeffs, B.basis, p), rng) or ():
             W = la.span(la.matmul(S.left_mult(e), B.basis.T, p).T, S.dim, p)
             if W.dim == n:
                 return B, W, n
@@ -592,7 +572,7 @@ def _build_cover(N: FDModule) -> CoverData:
         # generator c takes v_{c r + k} . V[0][k], k < r: the top copies c r .. c r + r - 1 of S_i
         r = len(V)
         padded = np.concatenate([vs, la.zeros(N.dim, n * r - img.dim)], axis=1).reshape(N.dim, n, r)
-        gens = (gens + np.einsum("kde,eck->dc", pull_back(N.action, la.matmul(sect, V[0].T, p), p), padded)) % p
+        gens = (gens + la.contract("kde,eck->dc", pull_back(N.action, la.matmul(sect, V[0].T, p), p), padded, p)) % p
     cover, _ = direct_sum(pieces)
     cover_map = np.concatenate(maps, axis=1) % p
     if la.rank(cover_map, p) != N.dim:

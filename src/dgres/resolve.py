@@ -335,7 +335,7 @@ def _strict_map_to_psi(M, I, t, cohM, values):
             if sp is None or sp.dim == 0:
                 continue
             # f_j(m) : R^{t-j} -> E,  s -> phi(m s), for each copy
-            maps = np.einsum("gkc,msc->mgks", phi, M.act_tensor(j, t - j)) % p
+            maps = la.contract("gkc,msc->mgks", phi, M.act_tensor(j, t - j), p)
             blocks.setdefault(j, []).append(sp.coords(maps).reshape(M.dim(j), -1).T)
     return dg.DGMorphism(M, I, {j: np.concatenate(bs) for j, bs in blocks.items()})
 
@@ -615,12 +615,3 @@ def gorenstein_check(R: dg.DGAlgebra, cap: int = 16) -> dict:
         "injdim_right": left,
         "injdim_left": right,
     }
-
-
-def semisimple_zero_check(R: dg.DGAlgebra) -> bool:
-    """True iff R has no negative cohomology and H0 is semisimple."""
-    coh = dg.algebra_cohomology(R)
-    if any(d < 0 and n for d, n in coh.dims.items()):
-        return False
-    hd = hk.heart_of(R)
-    return hk.radical(hd.h0).dim == 0

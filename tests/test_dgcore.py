@@ -249,6 +249,20 @@ def test_p_bounds_checked_at_construction():
         battery.builtin_algebra("field()", p)
 
 
+def test_validate_sees_d_squared_at_the_largest_accepted_prime():
+    # d1 d0 = 3 (p - 1)^2 + 581,896,575 (p - 1) = 2,455,103,921 mod p, a sum
+    # that wraps as one int64 sum of products
+    p = 3_037_000_493
+    R = battery.builtin_algebra("field()", p)
+    dims = {0: 1, 1: 4, 2: 1}
+    d0 = np.full((4, 1), p - 1, dtype=np.int64)
+    d1 = np.array([[p - 1, p - 1, p - 1, 581_896_575]], dtype=np.int64)
+    act = {(i, 0): la.eye(n)[:, None, :] for i, n in dims.items()}
+    M = dg.DGModule(R, dims, {0: d0, 1: d1}, act)
+    assert dg.validate(M) == ["d o d != 0 at degree 0"]
+    assert int(la.matmul(d1, d0, p)[0, 0]) == 2_455_103_921
+
+
 def test_boundaries_in_cycles_are_rref_without_elimination(algebras, k2, monkeypatch):
     # cohomology builds B inside Z from the pivots of B and Z; it must be the
     # subspace that eliminating bc again gives

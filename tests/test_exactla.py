@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -459,3 +460,106 @@ def test_elimination_is_exact_at_the_largest_accepted_prime(mc, k, seed):
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# products at large p: matmul and contract reduce after each chunk of
+# products that an int64 sum holds, one product at P_MAX and five at P_MID
+
+P_MID = 1_358_000_087  # a prime whose chunk is five products
+
+
+def test_chunks_at_the_test_primes():
+    assert [la._chunk(p) for p in (P_MAX, P_MID, 32003, 2)] == [1, 5, 9_006_073_460, 2**63 - 1]
+
+
+def _entries(draw, shape, p):
+    """Python ints, each 0, 1, p - 1 or uniform below p."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(0, 4, size=shape)
+    return np.where(pick == 0, 0, np.where(pick == 1, 1, np.where(pick == 2, p - 1, rng.integers(0, p, size=shape))))
+
+
+def contract_int_oracle(spec, a, b, p):
+    """np.einsum(spec, a, b) mod p by a loop over every index, in Python ints."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    size = dict(zip(sa, a.shape)) | dict(zip(sb, b.shape))
+    letters = list(dict.fromkeys(sa + sb))
+    got = {}
+    for idx in itertools.product(*(range(size[c]) for c in letters)):
+        at = dict(zip(letters, idx))
+        key = tuple(at[c] for c in out)
+        got[key] = got.get(key, 0) + int(a[tuple(at[c] for c in sa)]) * int(b[tuple(at[c] for c in sb)])
+    want = np.zeros(tuple(size[c] for c in out), dtype=np.int64)
+    for key, v in got.items():
+        want[key] = v % p
+    return want
+
+
+MATMUL_SHAPES = {  # the spec of each kind of product, and its operands' shapes for (m, k, n)
+    "matrix": ("mk,kn->mn", lambda m, k, n: ((m, k), (k, n))),
+    "row": ("k,kn->n", lambda m, k, n: ((k,), (k, n))),
+    "column": ("mk,k->m", lambda m, k, n: ((m, k), (k,))),
+    "stack": ("smk,kn->smn", lambda m, k, n: ((2, m, k), (k, n))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from((P_MAX, P_MID)), st.integers(0, 20), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(sorted(MATMUL_SHAPES)))
+def test_matmul_is_exact_at_large_p(data, p, k, m, n, kind):
+    spec, shapes = MATMUL_SHAPES[kind]
+    a_shape, b_shape = shapes(m, k, n)
+    a, b = _entries(data.draw, a_shape, p), _entries(data.draw, b_shape, p)
+    assert np.array_equal(la.matmul(a, b, p), contract_int_oracle(spec, a, b, p))
+
+
+CONTRACT_SPECS = (
+    "ab,bc->ac",  # a matrix product
+    "a,abc->cb",  # a left multiplication matrix
+    "abx,xcy->abcy",  # associativity, one summed letter
+    "xby,b->yx",  # a twist block
+    "abc,abd->cd",  # two summed letters
+    "jbc,bc->j",  # a trace against the identity
+    "ab,axy->bxy",  # a pull-back
+    "STU,uvw->SuTvUw",  # an outer product, nothing summed
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from((P_MAX, P_MID)), st.sampled_from(CONTRACT_SPECS))
+def test_contract_is_exact_at_large_p(data, p, spec):
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    # summed letters up to 20, the others small enough to keep the oracle quick
+    size = {c: data.draw(st.integers(0, 20 if c not in out else 3)) for c in dict.fromkeys(sa + sb)}
+    a = _entries(data.draw, tuple(size[c] for c in sa), p)
+    b = _entries(data.draw, tuple(size[c] for c in sb), p)
+    got = la.contract(spec, a, b, p)
+    assert got.dtype == np.int64 and np.array_equal(got, contract_int_oracle(spec, a, b, p))
+
+
+def test_contract_accepts_entries_above_minus_p():
+    # the sign of -1 survives the reduction, as np.einsum(...) % p gives it
+    a = np.array([[-1, P_MAX - 1]], dtype=np.int64)
+    b = np.array([[P_MAX - 1], [-1]], dtype=np.int64)
+    assert la.contract("ab,bc->ac", a, b, P_MAX).tolist() == [[(-(P_MAX - 1) - (P_MAX - 1)) % P_MAX]]
+
+
+def test_coordinates_of_a_member_at_p_max():
+    # the member (p - 1) row0 + (p - 1) row1 = (p - 1, p - 1, 2): its check
+    # adds 2 (p - 1)^2, which overflows one int64 sum
+    p = P_MAX
+    sub = la.span([[1, 0, p - 1], [0, 1, p - 1]], 3, p)
+    v = np.array([p - 1, p - 1, 2], dtype=np.int64)
+    assert sub.contains(v) and sub.coordinates(v).tolist() == [p - 1, p - 1]
+    assert sub.coordinates(np.stack([v, [1, 0, p - 1]])).tolist() == [[p - 1, p - 1], [1, 0]]
+    assert sub.coordinates(np.stack([v, [1, 0, 0]])) is None
+    sp = la.MapSpace(p, 1, 3, sub.basis, sub.pivots)
+    assert sp.coords(v.reshape(1, 3)).tolist() == [p - 1, p - 1]
+    assert sp.coords(np.stack([v, v]).reshape(2, 1, 3)).tolist() == [[p - 1, p - 1]] * 2
+    with pytest.raises(ValueError, match="outside the space"):
+        sp.coords(np.array([[1, 0, 0]]))
+    # and an intersection whose members are read through such sums
+    assert la.intersection(sub, la.span([v], 3, p)) == la.span([v], 3, p)

@@ -109,6 +109,69 @@ def test_simples_validate_as_modules():
             assert s.validate() == []
 
 
+def ordinary_validate_oracle(A):
+    """The basis loops that OrdinaryAlgebra.validate replaced."""
+    bad = []
+    n = A.dim
+    basis = la.eye(n)
+    for a in range(n):
+        if np.any(A.multiply(A.unit, basis[a]) != basis[a]):
+            bad.append(f"unit fails on left of e_{a}")
+        if np.any(A.multiply(basis[a], A.unit) != basis[a]):
+            bad.append(f"unit fails on right of e_{a}")
+    for a in range(n):
+        for b in range(n):
+            ab = A.multiply(basis[a], basis[b])
+            for c in range(n):
+                if np.any(A.multiply(ab, basis[c]) != A.multiply(basis[a], A.multiply(basis[b], basis[c]))):
+                    bad.append(f"associativity fails at ({a},{b},{c})")
+    return bad
+
+
+def module_validate_oracle(M):
+    """The basis loops that FDModule.validate replaced."""
+    A, p = M.algebra, M.algebra.p
+    if M.dim == 0:
+        return []
+    bad = ["unit does not act as identity"] if np.any(M.action_of(A.unit) != la.eye(M.dim)) else []
+    for a in range(A.dim):
+        for b in range(A.dim):
+            if np.any(M.action_of(A.mult[a, b]) != la.matmul(M.action[b], M.action[a], p)):
+                bad.append(f"action breaks associativity at ({a},{b})")
+    return bad
+
+
+def test_validate_reports_a_corrupted_unit_and_a_corrupted_product():
+    # each check reports what the basis loops report, as a multiset, and
+    # every corruption is reported
+    kinds = ("unit fails on", "associativity fails", "unit does not act", "action breaks associativity")
+    seen = set()
+
+    def check(X, oracle, corrupted):
+        got = X.validate()
+        assert sorted(got) == sorted(oracle(X)) and bool(got) == corrupted
+        seen.update(k for k in kinds if any(m.startswith(k) for m in got))
+
+    for A in (field_alg(), dual_numbers(), product_kk(), upper_triangular(), matrix2()):
+        n, u = A.dim, int(np.flatnonzero(A.unit)[0])
+        check(A, ordinary_validate_oracle, False)
+        check(hk.OrdinaryAlgebra(P, n, A.mult, (A.unit + la.eye(n)[n - 1]) % P), ordinary_validate_oracle, True)
+        # e_u e_{n-1} gains an e_0 term, e_u the unit's first basis element
+        mult = A.mult.copy()
+        mult[u, n - 1, 0] = (mult[u, n - 1, 0] + 1) % P
+        check(hk.OrdinaryAlgebra(P, n, mult, A.unit), ordinary_validate_oracle, True)
+        # the regular module, then with one entry of the matrix of e_u, or
+        # of the next basis element, disturbed
+        M = hk.regular_module(A)
+        check(M, module_validate_oracle, False)
+        for a in (u, (u + 1) % n):
+            action = M.action.copy()
+            action[a, 0, n - 1] = (action[a, 0, n - 1] + 1) % P
+            check(hk.FDModule(A, n, action), module_validate_oracle, True)
+    assert seen == set(kinds)
+    assert hk.FDModule(field_alg(), 0, np.zeros((1, 0, 0), dtype=np.int64)).validate() == []
+
+
 def test_projective_cover_regular():
     for A in (dual_numbers(), upper_triangular(), matrix2()):
         reg = hk.regular_module(A)

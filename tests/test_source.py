@@ -114,3 +114,43 @@ def test_only_simples_draws_random_numbers():
             if "default_rng" in (getattr(node, "attr", None), getattr(node, "id", None)) and id(node) not in allowed
         ]
     assert found == []
+
+
+CONTRACTIONS = {"einsum", "tensordot", "dot", "matmul"}
+
+
+def contraction_lines(src: Path) -> list[str]:
+    """Lines of the library outside exactla.py that contract arrays directly:
+    a call of np.einsum, np.tensordot, np.dot or np.matmul, or an @."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exactla.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in CONTRACTIONS and ast.unparse(node.func.value) in ("np", "numpy"))
+            if call or isinstance(getattr(node, "op", None), ast.MatMult):
+                found.add((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_products_mod_p_go_through_exactla():
+    # an int64 sum of products wraps for large p unless it is reduced in
+    # chunks, which exactla.matmul and exactla.contract do; no other module
+    # forms such a product itself
+    assert contraction_lines(SRC) == []
+
+
+def test_the_contraction_rule_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import numpy as np\n"
+        "a = np.einsum('ab,bc->ac', x, y)\n"
+        "b = numpy.tensordot(x, y, axes=1)\n"
+        "c = np.dot(x, y)\n"
+        "d = np.matmul(x, y)\n"
+        "e = x @ y\n"
+        "x @= y\n"
+        "f = la.matmul(x, y, p) + la.contract('a,a->', x, y, p)\n"
+    )
+    (tmp_path / "exactla.py").write_text("import numpy as np\na = x @ y\n")
+    assert contraction_lines(tmp_path) == [f"m.py:{i}" for i in range(2, 8)]
