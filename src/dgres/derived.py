@@ -1,21 +1,23 @@
 """Derived Hom and tensor functors on bounded windows, three ways.
 
-Route one resolves the source by a semifree DG-module F and reads the
-tensor complex off its generators: (F ⊗_R L)^n = ⊕_g L^{n - s_g}, with d_L
-on each block and the twists acting between blocks, so no balance relation
-is solved.  Hom goes through the same complex by k-duality, Hom_R(F, N) =
-D(F ⊗_R D N).  Routes two and three read the same
-dimensions off a sup-projective or inf-injective resolution through the
-slot formulas: with s_i = sup P_i the group Hom(M, N[n]) vanishes unless
-n = i - s_i for some stage i, and at a slot it is computed from the
-three-term complex of Hom_{H0}(H^sup(P_*), N) spaces, with the kernel,
-cokernel or middle-cohomology case keyed on the equality pattern of
-adjacent stage sups.  Tor tables use the tensor analogue with slots
-n = -i + s_i, and inf-injective resolutions give the Hom tables with a
-heart source at slots n = i + inf I_{-i}.  Stage i's edge is sup or inf
-of H(M_i), known before T_i is built; the walk stops at the first slot
-past the window, and only the stages in the window and their equal-edge
-neighbours have T_i and its group built.
+Route one resolves the source by a semifree DG-module F, grown with no
+cone per round (a generator's column of the cone differential is fixed when
+it is adjoined), and reads the tensor complex off its generators:
+(F ⊗_R L)^n = ⊕_g L^{n - s_g}, with d_L on each block and the twists
+acting between blocks, so no balance relation is solved.  Hom goes through
+the same complex by k-duality, Hom_R(F, N) = D(F ⊗_R D N).  Routes two and
+three read the same dimensions off a sup-projective or inf-injective
+resolution through the slot formulas: with s_i = sup P_i the group
+Hom(M, N[n]) vanishes unless n = i - s_i for some stage i, and at a slot
+it is computed from the three-term complex of Hom_{H0}(H^sup(P_*), N)
+spaces, with the kernel, cokernel or middle-cohomology case keyed on the
+equality pattern of adjacent stage sups.  Tor tables use the tensor
+analogue with slots n = -i + s_i, and inf-injective resolutions give the
+Hom tables with a heart source at slots n = i + inf I_{-i}.  Stage i's
+edge is sup or inf of H(M_i), read off the long exact sequence of
+H(f_{i-1}) before M_i is built; the walk stops at the first slot past the
+window, building neither M_i nor T_i there, and only the stages in the
+window and their equal-edge neighbours have T_i and its group built.
 
 Every functor takes an explicit finite window; the semifree construction
 takes a floor deep enough that the window is unaffected by truncating the
@@ -25,6 +27,7 @@ resolution, namely H^i(cone(augmentation)) = 0 for all i above the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,41 +110,94 @@ def semifree(M: dg.DGModule, floor: int) -> SemifreeResolution:
     """Adjoin free generators top-down until the cone C of the augmentation
     is acyclic above the floor.
 
-    C starts as M.  Each round kills the top surviving cohomology H^j of C
-    by one new generator e per generator of H^j over H0, the fewest that
-    its projective cover records, lifted to a cocycle (m, x) in
-    C^j = M^j + F^{j+1}, and cones them off: C becomes the cone of
-    e -> -(m, x), which is the cone of the augmentation e -> -m with the
-    twist d(e) = x, as the F[1] block of a cone carries -d_F.  An acyclic M
+    Round j, from M.hi() down to floor + 1, computes H^j(C) for the
+    generators adjoined so far, all in degrees above j, and kills it by one
+    new generator e per generator of H^j over H0, the fewest that its
+    projective cover records, lifted to a cocycle (m, x) in C^j = M^j +
+    F^{j+1}: e maps to -m, the twist d(e) = x, so the new C is the cone of
+    e -> -(m, x), as the F[1] block of a cone carries -d_F.  The generators
+    of H^j over H0 map onto it and H^{j+1}(R) = 0, so by the long exact
+    sequence the new C has no cohomology in degrees >= j.  An acyclic M
     gets the empty free module, whose Hom and tensor complexes vanish.
 
-    H(C) is computed one degree at a time, top-down from M.hi() to
-    floor + 1, and each degree once.  The generators of H^j over H0 map
-    onto it and H^{j+1}(R) = 0, so by the long exact sequence the new cone
-    has no cohomology in degrees >= j, and the scan goes on at j - 1.
-    Degrees <= floor are never read, so a kill at floor + 1 builds no cone.
+    C is M until the first generator, and no cone is built: C^i is M^i
+    followed by R^{i+1-s_g} for each generator g in order, the columns of
+    d_C on new generators are fixed when they are adjoined (_columns), and
+    round j assembles d_C^{j-1}, d_C^j and act_C(j, 0) from M's blocks and
+    those columns (_round_cone).
     """
     R, p = M.algebra, M.p
     sf = SemifreeResolution(M, floor)
-    C = M
+    batches = []  # per round that adjoins: (degree, count, {k: their columns of d_C on R^k})
     for j in range(M.hi(), floor, -1):
+        C = _round_cone(M, batches, j) if batches else M
         cohC = dg.cohomology(C, window=(j, j))
         if not cohC.dim(j):
             continue
         reps = cohC.rep(j, hk.projective_cover(dg.heart_module(C, j, cohC)).generators)  # cocycles (m, x)
         # x's blocks of F^{j+1}, one per earlier generator h, of width R.dim(j + 1 - s_h)
         ends = np.cumsum([M.dim(j)] + [R.dim(j + 1 - s) for s in sf.gen_degrees])
-        for rep in reps.T:
-            g = len(sf.gen_degrees)
-            for h, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
-                if np.any(rep[a:b]):
-                    sf.twists[(h, g)] = rep[a:b].copy()
-            sf.gen_degrees.append(j)
-            sf.images.append((-rep[: M.dim(j)]) % p)
-        if j > floor + 1:
-            G = dg.free_module(R, [j] * reps.shape[1])
-            C = dg.cone_module(dg.free_map(G, C, list((-reps % p).T)))
+        # the (new, earlier) generator pairs with a twist, new-major as the keys are ordered
+        new, rows = np.nonzero(reps[M.dim(j) :].T)
+        earlier = np.searchsorted(ends, rows + M.dim(j), "right") - 1
+        for c, h in dict.fromkeys(zip(new.tolist(), earlier.tolist())):
+            sf.twists[(h, len(sf.gen_degrees) + c)] = reps[ends[h] : ends[h + 1], c].copy()
+        images = (-reps) % p
+        if j > floor + 1:  # rounds j - 1 down to floor + 1 read these columns
+            cols = {k: _columns(M, batches, images, j, k) for k in R.degrees() if k > floor - j}
+            batches.append((j, images.shape[1], cols))
+        sf.gen_degrees += [j] * images.shape[1]
+        sf.images += [v[: M.dim(j)].copy() for v in images.T]
     return sf
+
+
+def _offsets(M: dg.DGModule, batches: list, i: int) -> list[int]:
+    """Where C^i's blocks start: M^i, then (R^{i+1-s})^n per batch of n generators in degree s."""
+    rdim = M.algebra.dims.get
+    return list(accumulate([M.dim(i)] + [n * rdim(i + 1 - s, 0) for s, n, _ in batches], initial=0))
+
+
+def _action(M: dg.DGModule, batches: list, i: int, k: int) -> np.ndarray:
+    """act_C(i, k): M's on M^i and R's on each generator's block."""
+    R, src, tgt = M.algebra, _offsets(M, batches, i), _offsets(M, batches, i + k)
+    t = np.zeros((src[-1], R.dim(k), tgt[-1]), dtype=np.int64)
+    t[: src[1], :, : tgt[1]] = M.act_tensor(i, k)
+    for b, (s, _, _) in enumerate(batches):
+        if (w := R.dim(i + 1 - s)) and (wk := R.dim(i + 1 - s + k)):
+            for a, c in zip(range(src[b + 1], src[b + 2], w), range(tgt[b + 1], tgt[b + 2], wk)):
+                t[a : a + w, :, c : c + wk] = R.mult_tensor(i + 1 - s, k)
+    return t
+
+
+def _columns(M: dg.DGModule, batches: list, images: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The columns of d_C on e R^k for new generators e in degree j with
+    images in C^j (columns): image . b by C's action, which is image_g b
+    into M and -z_{h,g} b into each earlier h; then -(-1)^j d_R b into e's
+    own block, and nothing into another new generator's."""
+    R, p, n = M.algebra, M.p, images.shape[1]
+    into = la.contract("xn,xtc->cnt", images, _action(M, batches, j, k), p)
+    col = la.zeros(len(into) + n * R.dim(k + 1), n * R.dim(k))
+    col[: len(into)] = into.reshape(len(into), n * R.dim(k))
+    own = col[len(into) :].reshape(n, R.dim(k + 1), n, R.dim(k))
+    own[range(n), :, range(n)] = -(-1) ** (j % 2) * R.diff_mat(k) % p
+    return col
+
+
+def _round_cone(M: dg.DGModule, batches: list, j: int) -> dg.DGModule:
+    """Degrees j - 1, j and j + 1 of round j's cone C, with act_C(j, 0)."""
+    R = M.algebra
+    offs = {i: _offsets(M, batches, i) for i in (j - 1, j, j + 1)}
+    dims = {i: o[-1] for i, o in offs.items() if o[-1]}
+    diff = {}
+    for i in (j - 1, j):
+        if i in dims and i + 1 in dims:
+            d = diff[i] = la.zeros(dims[i + 1], dims[i])
+            d[: M.dim(i + 1), : M.dim(i)] = M.diff_mat(i)
+            for b, (s, _, cols) in enumerate(batches):
+                if R.dim(i + 1 - s):
+                    d[: len(cols[i + 1 - s]), offs[i][b + 1] : offs[i][b + 2]] = cols[i + 1 - s]
+    act = {(j, 0): _action(M, batches, j, 0)} if j in dims else {}
+    return dg.DGModule(R, dims, diff, act, label=f"C^{j}({M.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +268,7 @@ def _slot_dims(res, slot, group, induced, window) -> dict[int, int]:
     """Nonzero dimensions at the slots in window, read off the stages of res.
 
     Stage i sits at slot(i, e) with e = res.edge(i), sup or inf of H(M_i),
-    which the resolution holds before T_i is built.  Slots move strictly one
+    which the resolution reads before M_i or T_i is built.  Slots move strictly one
     way along the stages, so the walk stops at the first stage whose slot
     is past the window.  STAGE_CAP bounds the stages before that one: the
     walk raises when the window needs a stage past index STAGE_CAP.
@@ -242,7 +298,7 @@ def _slot_dims(res, slot, group, induced, window) -> dict[int, int]:
     inside = [i for i, e in enumerate(edges) if a <= slot(i, e) <= b]
     pairs = [i for i in range(1, len(edges)) if edges[i - 1] == edges[i] and {i - 1, i} & set(inside)]
     built = sorted(set(inside) | {j for i in pairs for j in (i - 1, i)})
-    res.ensure(max(built, default=-1) + 1)
+    res.build_stages(max(built, default=-1) + 1)
     groups = {i: group(dg.heart_module(res.terms[i], edges[i], res.term_cohs[i])) for i in built}
     trans = {}
     for i in pairs:

@@ -212,10 +212,6 @@ def compose(g: DGMorphism, f: DGMorphism) -> DGMorphism:
     return DGMorphism(f.source, g.target, blocks)
 
 
-def identity_morphism(M: DGModule) -> DGMorphism:
-    return DGMorphism(M, M, {i: la.eye(M.dim(i)) for i in M.degrees()})
-
-
 def zero_module(R: DGAlgebra) -> DGModule:
     return DGModule(R, {}, {}, {}, label="0")
 
@@ -1018,14 +1014,3 @@ def dual_cohomology(M: DGModule, coh: CohomologyData) -> CohomologyData:
         action[(-i - j, j)] = (sign * np.transpose(t, (2, 1, 0))) % p
     lo, hi = coh.window
     return CohomologyData(p, dims, reps, {}, {}, action, window=(-hi, -lo))
-
-
-def double_dual_map(M: DGModule) -> DGMorphism:
-    """The canonical strict isomorphism M -> D(D(M))."""
-    dd = dualize(dualize(M))
-    dd = DGModule(M.algebra, dd.dims, dd.diff, dd.act, label=dd.label)
-    blocks = {}
-    for i in M.degrees():
-        sign = -1 if i % 2 else 1
-        blocks[i] = (sign * la.eye(M.dim(i))) % M.p
-    return DGMorphism(M, dd, blocks)

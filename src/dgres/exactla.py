@@ -15,7 +15,8 @@ touches and no numpy call per pivot (see rref).
 Each caller eliminates once.  kernel eliminates the columns in reverse
 order: its vectors at the free columns, with the columns put back, are then
 already the canonical basis, so they need no second elimination.
-solve_many eliminates [m | rhs] once for all columns of rhs.
+solve_many eliminates [m | rhs] once for all columns of rhs.  Each input
+is reduced mod p once: span, kernel and solve_many leave that to rref.
 
 p must be prime; dgcore.DGAlgebra checks this with is_prime when an algebra
 is built, together with p > dim R^0 (the trace-form radical of R^0 needs it)
@@ -212,8 +213,7 @@ def span(vectors, ambient_dim: int, p: int) -> Subspace:
     """Canonical subspace spanned by the given row vectors."""
     if ambient_dim == 0:
         return Subspace(p, 0, zeros(0, 0), [])
-    vs = as_field(vectors, p).reshape(-1, ambient_dim)
-    rr, piv = rref(vs, p)
+    rr, piv = rref(np.reshape(vectors, (-1, ambient_dim)), p)
     return Subspace(p, ambient_dim, rr[: len(piv)].copy(), piv)
 
 
@@ -230,7 +230,7 @@ def kernel(m, p: int) -> Subspace:
     free column f vanish left of f once the columns are put back, so the
     vectors, ordered by f, are the canonical basis with pivots f.
     """
-    m = as_field(m, p)
+    m = np.asarray(m)
     cols = m.shape[1]
     rr, piv = rref(m[:, ::-1], p)
     free = _non_pivots(cols, piv)[::-1]
@@ -242,7 +242,7 @@ def kernel(m, p: int) -> Subspace:
 
 def solve(m, b, p: int):
     """Some x with m x = b, or None when the system is inconsistent."""
-    x = solve_many(m, as_field(b, p).reshape(-1, 1), p)
+    x = solve_many(m, np.reshape(b, (-1, 1)), p)
     return None if x is None else x[:, 0]
 
 
@@ -366,7 +366,7 @@ def solve_many(m, rhs, p: int):
     inconsistent column, and otherwise X is zero at the free unknowns and
     reads the reduced rhs at the pivots.
     """
-    m, rhs = as_field(m, p), as_field(rhs, p)
+    m, rhs = np.asarray(m), np.asarray(rhs)
     n = m.shape[1]
     if rhs.shape[0] != m.shape[0]:
         raise ValueError(f"solve: {m.shape[0]} rows vs a rhs with {rhs.shape[0]} rows")

@@ -597,14 +597,6 @@ def injective_envelope(N: FDModule) -> CoverData:
     return CoverData(env, emb, cd.multiplicities)
 
 
-def is_projective(N: FDModule) -> bool:
-    return projective_cover(N).module.dim == N.dim if N.dim else True
-
-
-def is_injective(N: FDModule) -> bool:
-    return injective_envelope(N).module.dim == N.dim if N.dim else True
-
-
 def free_rank(N: FDModule, cover: CoverData | None = None):
     """Rank when N is free, else None.
 

@@ -95,7 +95,15 @@ inf M_i, and ifij_step checks that H^t(f_i) is injective.  In
 the left end vanishes for j < t and the right map is injective (the check
 at j = t - 1, H^{j+1}(M_i) = 0 below), so H(M_{i+1}) is computed on
 [t, +inf).  Either window holds all of the model's cohomology, so its sup,
-inf and acyclicity are exact.
+inf and acyclicity are exact.  The same sequences give its dims before
+M_{i+1} is built, from the ranks of H(f_i) alone:
+
+    dim H^j(M_{i+1}) = dim coker H^{j-1}(f_i) + dim ker H^j(f_i)   (sppj)
+    dim H^j(M_{i+1}) = dim coker H^j(f_i) + dim ker H^{j+1}(f_i)   (ifij)
+
+Resolution.edge reads them (les_dims), so a slot walk that stops at a stage
+never builds its model; a model built after its dims were read must have
+them, or the resolution raises RuntimeError naming the stage.
 """
 
 from __future__ import annotations
@@ -273,12 +281,11 @@ def membership_F(M: dg.DGModule, coh: dg.CohomologyData | None = None):
 # resolution steps
 
 
-def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = None):
-    """One resolution stage: (P, f, next_model, g, info, H(P)).
+def sppj_term(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = None):
+    """One resolution stage's term: (P, f, info, H(P)).
 
     P is free with all generators in degree sup M; f is strict with
-    H^sup(f) surjective; next_model is the cocone of f with its strict
-    projection g onto P; H(P) carries the H(R) action.  By default the
+    H^sup(f) surjective; H(P) carries the H(R) action.  By default the
     generators are the fewest that generate H^sup(M) over H0, as its
     projective cover records them; `generators` may prescribe class
     coordinates of H^sup(M) explicitly (columns; zero columns allowed).
@@ -301,9 +308,15 @@ def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = N
     hmap = dg.cohomology_map(f, s, cohP, coh)
     if la.rank(hmap, M.p) != Q.dim:
         raise ValueError("chosen generators do not surject onto the top cohomology")
-    nxt, g = dg.cocone(f)
-    info = StageInfo(-1, s, g_count, -s, "free", mode)
-    return P, f, nxt, g, info, cohP
+    return P, f, StageInfo(-1, s, g_count, -s, "free", mode), cohP
+
+
+def sppj_step(M: dg.DGModule, generators=None, coh: dg.CohomologyData | None = None):
+    """One resolution stage: (P, f, next_model, g, info, H(P)), the stage
+    of sppj_term with next_model the cocone of f and g its strict
+    projection onto P."""
+    P, f, info, cohP = sppj_term(M, generators, coh)
+    return (P, f, *dg.cocone(f), info, cohP)
 
 
 def _strict_map_to_psi(M, I, t, cohM, values):
@@ -354,12 +367,11 @@ def _psi_target(R, J: hk.FDModule, t: int):
     return I, cohI, hull
 
 
-def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
-    """One inf-injective stage: (I, f, next_model, g, info, H(I)).
+def ifij_term(M: dg.DGModule, coh: dg.CohomologyData | None = None):
+    """One inf-injective stage's term: (I, f, info, H(I)).
 
     I is a shifted psi-type DG-injective, f : M -> I is strict with
-    injective H^inf(f), next_model = cone(f) and g : I -> next_model; H(I)
-    carries the H(R) action.
+    injective H^inf(f), and H(I) carries the H(R) action.
     """
     R = M.algebra
     coh = coh or dg.cohomology(M)
@@ -372,9 +384,19 @@ def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
     hmap = dg.cohomology_map(f, t, coh, cohI)
     if la.rank(hmap, M.p) != Q.dim:
         raise RuntimeError("bottom cohomology map failed to be injective")
-    nxt = dg.cone_module(f)
-    info = StageInfo(-1, t, I.total_dim, -t, "psi", "envelope")
-    return I, f, nxt, dg.cone_inclusion(f, nxt), info, cohI
+    return I, f, StageInfo(-1, t, I.total_dim, -t, "psi", "envelope"), cohI
+
+
+def _cone_with_inclusion(f: dg.DGMorphism):
+    C = dg.cone_module(f)
+    return C, dg.cone_inclusion(f, C)
+
+
+def ifij_step(M: dg.DGModule, coh: dg.CohomologyData | None = None):
+    """One inf-injective stage: (I, f, next_model, g, info, H(I)), the
+    stage of ifij_term with next_model = cone(f) and g : I -> next_model."""
+    I, f, info, cohI = ifij_term(M, coh)
+    return (I, f, *_cone_with_inclusion(f), info, cohI)
 
 
 def membership_I(M: dg.DGModule, coh: dg.CohomologyData | None = None):
@@ -404,78 +426,116 @@ class Resolution:
     passes to the next model M_{i+1} with its strict structure map g_{i+1}.
     cohs[i] is H(M_i) and term_cohs[i] is H(T_i), both with the H(R) action;
     cohs[i] for i >= 1 is computed only on the side of the edge of stage
-    i - 1 where it can be nonzero (module docstring).
-    Subclasses fix the step, the edge of cohomology each stage peels off and
-    the order in which f and g splice.
+    i - 1 where it can be nonzero (module docstring).  The model after the
+    last stage is built when model, coh, ensure, the next step or the
+    lists models, cohs and gs read it; until then edge reads its dims off
+    les_dims.  Subclasses fix the edge each stage peels off, which fixes
+    the step and the order in which f and g splice.
     """
 
     edge_name: str  # 'sup' or 'inf'
 
     def __init__(self, M: dg.DGModule):
         self.base = M
-        self.models = [M]
-        self.cohs = [dg.cohomology(M)]
-        self.terms: list[dg.DGModule] = []
-        self.term_cohs: list[dg.CohomologyData] = []
-        self.maps: list[dg.DGMorphism] = []
-        self.gs: list[dg.DGMorphism] = []
-        self.infos: list[StageInfo] = []
+        self._models, self._cohs, self._gs = [M], [dg.cohomology(M)], []
+        self.terms, self.term_cohs, self.maps, self.infos = [], [], [], []
+        self._les: tuple | None = None  # (i, les_dims) while M_i is unbuilt
         # the stage whose next model is acyclic, once one is; -1 for an acyclic M_0
-        self.length: int | None = -1 if self.cohs[0].is_acyclic() else None
+        self.length: int | None = -1 if self._cohs[0].is_acyclic() else None
 
-    def _step(self, M, **options):
-        """The stage function, called through its module attribute."""
-        raise NotImplementedError
+    models = property(lambda self: self._read(self._models))
+    cohs = property(lambda self: self._read(self._cohs))
+    gs = property(lambda self: self._read(self._gs))
+
+    def _read(self, built: list) -> list:
+        self._next_model()
+        return built
 
     def model(self, i: int) -> dg.DGModule:
-        return self.models[self._built(i)]
+        return self._models[self._built(i)]
 
     def coh(self, i: int) -> dg.CohomologyData:
-        return self.cohs[self._built(i)]
+        return self._cohs[self._built(i)]
 
     def _built(self, i: int) -> int:
         self.ensure(i)
-        if i >= len(self.models):
+        if i >= len(self._models):
             raise IndexError(f"model {i} lies past the last model of a resolution of length {self.length}")
         return i
 
     def ensure(self, i: int):
+        """Build the stages before i and the model after the last of them."""
+        self.build_stages(i)
+        self._next_model()
+
+    def build_stages(self, i: int):
+        """Build the stages before i, each after its model, and no model past them."""
         while len(self.terms) < i and self.length is None:
-            self.step()
+            self._next_model()
+            if self.length is None:
+                self.step()
+
+    def _next_model(self):
+        """Build M_i for i = len(terms) unless it is built, with the dims les_dims read for it."""
+        i = len(self.terms)
+        if i < len(self._models):
+            return
+        e, sup = self.infos[-1].edge, self.edge_name == "sup"
+        nxt, g = dg.cocone(self.maps[-1]) if sup else _cone_with_inclusion(self.maps[-1])
+        # H(nxt) vanishes beyond the edge just peeled (module docstring)
+        coh = dg.cohomology(nxt, window=(dg.NEG_INF, e) if sup else (e, dg.POS_INF))
+        if self._les is not None and self._les[0] == i and self._les[1] != coh.dims:
+            raise RuntimeError(f"stage {i}: H(M_{i}) has dims {coh.dims}, the long exact sequence gave {self._les[1]}")
+        self._models.append(nxt)
+        self._cohs.append(coh)
+        self._gs.append(g)
+        if coh.is_acyclic():
+            self.length = i - 1
 
     def step(self, **options):
+        self._next_model()
         if self.length is not None:
             raise RuntimeError("resolution already terminated")
         i = len(self.terms)
-        term, f, nxt, g, info, term_coh = self._step(self.models[i], coh=self.cohs[i], **options)
+        stage = sppj_term if self.edge_name == "sup" else ifij_term
+        term, f, info, term_coh = stage(self._models[i], coh=self._cohs[i], **options)
         info.index = i
         self.terms.append(term)
         self.term_cohs.append(term_coh)
         self.maps.append(f)
-        self.gs.append(g)
         self.infos.append(info)
-        self.models.append(nxt)
-        # H(nxt) vanishes beyond the edge just peeled (module docstring)
-        e = info.edge
-        self.cohs.append(dg.cohomology(nxt, window=(dg.NEG_INF, e) if self.edge_name == "sup" else (e, dg.POS_INF)))
-        if self.cohs[-1].is_acyclic():
-            self.length = i
+
+    def les_dims(self) -> dict:
+        """H(M_i)'s dims for the unbuilt M_i, i = len(terms), by the ranks
+        of H(f_{i-1}) (module docstring); sets the length if they vanish."""
+        i, sup = len(self.terms), self.edge_name == "sup"
+        if self._les is None or self._les[0] != i:
+            f = self.maps[-1]
+            src, tgt = (self.term_cohs[-1], self._cohs[-1]) if sup else (self._cohs[-1], self.term_cohs[-1])
+            rank = {k: la.rank(dg.cohomology_map(f, k, src, tgt), f.p) for k in src.dims if tgt.dim(k)}
+            # dim coker H^{k - sup}(f) + dim ker H^{k + 1 - sup}(f)
+            dims = {k: tgt.dim(k - sup) - rank.get(k - sup, 0) + src.dim(k + 1 - sup) - rank.get(k + 1 - sup, 0)
+                    for k in {k + sup for k in tgt.dims} | {k + sup - 1 for k in src.dims}}
+            self._les = (i, {k: d for k, d in sorted(dims.items()) if d})
+            if not self._les[1]:
+                self.length = i - 1
+        return self._les[1]
 
     def edge(self, i: int):
         """The edge of stage i, sup or inf of H(M_i), which infos[i].edge
         holds once stage i is built; None when M_i is acyclic or lies past
-        the terminated length, so that T_i = 0.  Builds stages < i only."""
-        self.ensure(i)
-        if i >= len(self.cohs) or self.cohs[i].is_acyclic():
-            return None
-        return getattr(self.cohs[i], self.edge_name)
+        the terminated length, so that T_i = 0.  Builds stages < i only,
+        and reads an unbuilt M_i off les_dims."""
+        self.build_stages(i)
+        dims = self._cohs[i].dims if i < len(self._models) else self.les_dims() if i == len(self.terms) else {}
+        return (max if self.edge_name == "sup" else min)(dims, default=None)
 
     def delta(self, i: int) -> dg.DGMorphism:
         """The spliced map between T_i and T_{i-1}, in the resolution's direction."""
         if i < 1:
             raise ValueError("delta is defined for stage >= 1")
-        self.ensure(i + 1)
-        f, g = self.maps[i], self.gs[i - 1]
+        self.build_stages(i + 1)
+        f, g = self.maps[i], self._gs[i - 1]
         return dg.compose(g, f) if self.edge_name == "sup" else dg.compose(f, g)
 
 
@@ -484,17 +544,11 @@ class SppjResolution(Resolution):
 
     edge_name = "sup"
 
-    def _step(self, M, **options):
-        return sppj_step(M, **options)
-
 
 class IfijResolution(Resolution):
     """Inf-injective stages: f_i : M_i -> I_{-i}, g_i : I_{-i} -> M_{i+1}."""
 
     edge_name = "inf"
-
-    def _step(self, M, **options):
-        return ifij_step(M, **options)
 
 
 def _dimension(res: Resolution, cap: int, kind: str, member) -> DimensionReport:

@@ -11,6 +11,32 @@ from dgres import resolve as rv
 P = 32003
 
 
+# helpers that only tests call
+
+
+def identity_morphism(M):
+    return dg.DGMorphism(M, M, {i: la.eye(M.dim(i)) for i in M.degrees()})
+
+
+def double_dual_map(M):
+    """The canonical strict isomorphism M -> D(D(M))."""
+    dd = dg.dualize(dg.dualize(M))
+    dd = dg.DGModule(M.algebra, dd.dims, dd.diff, dd.act, label=dd.label)
+    blocks = {}
+    for i in M.degrees():
+        sign = -1 if i % 2 else 1
+        blocks[i] = (sign * la.eye(M.dim(i))) % M.p
+    return dg.DGMorphism(M, dd, blocks)
+
+
+def is_projective(N):
+    return hk.projective_cover(N).module.dim == N.dim if N.dim else True
+
+
+def is_injective(N):
+    return hk.injective_envelope(N).module.dim == N.dim if N.dim else True
+
+
 @pytest.fixture(scope="session")
 def algebras():
     algs = battery.battery_algebras(P)

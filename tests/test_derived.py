@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import identity_morphism
 from dgres import battery
 from dgres import derived as dv
 from dgres import dgcore as dg
@@ -45,7 +46,7 @@ def test_semifree_of_heart(koszul, nilp2):
 
 
 def test_semifree_of_acyclic(koszul):
-    C, _, _ = dg.cone(dg.identity_morphism(koszul.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(koszul.regular_module()))
     sf = dv.semifree(C, -3)
     assert sf.gen_degrees == []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import double_dual_map, identity_morphism, is_injective
 from dgres import battery
 from dgres import dgcore as dg
 from dgres import exactla as la
@@ -321,7 +322,7 @@ def test_cohomology_free_additivity(koszul):
 
 
 def test_cohomology_cone_of_identity(koszul):
-    C, _, _ = dg.cone(dg.identity_morphism(koszul.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(koszul.regular_module()))
     assert dg.is_acyclic(C)
     assert dg.validate_module(C) == []
 
@@ -394,7 +395,7 @@ def test_long_exact_sequence(koszul, tri2):
         f = dg.DGMorphism(reg, k, {0: _simple_quotient_block(R)})
         assert dg.validate_morphism(f) == []
         _les_ranks(f)
-        _les_ranks(dg.identity_morphism(reg))
+        _les_ranks(identity_morphism(reg))
 
 
 def _simple_quotient_block(R):
@@ -460,7 +461,7 @@ def test_psi_h0_is_pi_shriek(algebras):
         hd = hk.heart_of(R)
         K = hk.dual_module(hk.regular_module(hd.r0.opposite()))
         K = hk.FDModule(hd.r0, K.dim, K.action, label="D(R0)")
-        assert hk.is_injective(K)
+        assert is_injective(K)
         I = dg.psi(R, K)
         assert dg.validate_module(I) == [], name
         pi_mod, _ = pi_shriek(hd, K)
@@ -534,7 +535,7 @@ def test_dualize(koszul):
     D = dg.dualize(koszul.regular_module())
     assert dg.validate_module(D) == []
     assert hdims(D) == {0: 1, 1: 1}
-    theta = dg.double_dual_map(battery.m_of(koszul, 2))
+    theta = double_dual_map(battery.m_of(koszul, 2))
     assert dg.validate_morphism(theta) == []
     assert dg.is_quasi_iso(theta)
 
@@ -547,7 +548,7 @@ def test_dualize_field():
 
 def test_is_quasi_iso(koszul):
     R = koszul.regular_module()
-    assert dg.is_quasi_iso(dg.identity_morphism(R))
+    assert dg.is_quasi_iso(identity_morphism(R))
     M = battery.m_of(koszul, 1)
     z = dg.DGMorphism(M, R, {})
     assert not dg.is_quasi_iso(z)

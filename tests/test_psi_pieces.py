@@ -19,7 +19,7 @@ from dgres import dgcore as dg
 from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
-from conftest import heart_sums, record_strict_maps, strict_map_to_psi_oracle
+from conftest import heart_sums, identity_morphism, record_strict_maps, strict_map_to_psi_oracle
 
 P = 32003
 K2_SPEC = "koszul(x,y; k[x,y]/(x^2,y^2))"
@@ -178,7 +178,7 @@ def test_concentration_scan_computes_h_of_m_once(monkeypatch):
 
 
 def test_rhom_and_ltensor_of_an_acyclic_module_are_empty(k2):
-    C, _, _ = dg.cone(dg.identity_morphism(k2.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(k2.regular_module()))
     N = battery.builtin_module(k2, "heart(S0)")
     assert dv.rhom(C, N, (-3, 3)).dims == {}
     assert dv.ltensor(C, dg.dualize(N), (-3, 3)).dims == {}

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import is_projective
 from dgres import battery
 from dgres import dgcore as dg
 from dgres import exactla as la
@@ -30,7 +31,7 @@ def test_membership_projective_nonfree(tri2):
     # the projective simple over the triangular algebra: membership without a free certificate
     hd = hk.heart_of(tri2)
     sims = hk.simples(hd.h0)
-    proj_simples = [s for s in sims if hk.is_projective(s)]
+    proj_simples = [s for s in sims if is_projective(s)]
     assert len(proj_simples) == 1
     M = dg.heart_embed(tri2, proj_simples[0])
     ok, cert = rv.membership_P(M)

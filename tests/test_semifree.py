@@ -5,6 +5,7 @@ and the whole cone from every generator in every round."""
 import numpy as np
 import pytest
 
+from conftest import identity_morphism
 from dgres import battery
 from dgres import derived as dv
 from dgres import dgcore as dg
@@ -88,7 +89,7 @@ def modules(R):
     e -> b has cocycles with parts on both M and the newest generators, so
     it tells the coupling -rep from +rep."""
     sims = [battery.heart_simple(R, i) for i in range(len(hk.simples(hk.heart_of(R).h0)))]
-    C, _, _ = dg.cone(dg.identity_morphism(R.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(R.regular_module()))
     b = la.eye(R.dim(0))[-1]
     times_b = dg.cone_module(dg.free_map(dg.free_module(R, [0]), R.regular_module(), [b]))
     return sims + [dg.shift(sims[0], 2), C, times_b, R.regular_module(), battery.m_of(R, 1)]
@@ -111,6 +112,6 @@ def test_semifree_matches_the_rebuilding_oracle(algs):
 
 
 def test_semifree_of_an_acyclic_module_is_empty(k2):
-    C, _, _ = dg.cone(dg.identity_morphism(k2.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(k2.regular_module()))
     sf = dv.semifree(C, -4)
     assert sf.gen_degrees == [] and sf.free.dims == {} and sf.augmentation.blocks == {}

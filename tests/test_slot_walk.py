@@ -1,20 +1,25 @@
 """The slot-formula walk builds only the stages its window reads.
 
-Stage i's edge is sup or inf of H(M_i), which the resolution holds before
-T_i is built, so the walk stops at the first slot past the window and never
-builds the stage there unless a transition map into the window needs it.
-The tables must not change: every slot route agrees with the semifree route
-on generated windows, and a slot table is the restriction of the same
-route's table on a wider window.
+Stage i's edge is sup or inf of H(M_i), which the resolution reads off the
+long exact sequence of H(f_{i-1}) before M_i or T_i is built, so the walk
+stops at the first slot past the window and builds neither the model nor
+the stage there unless a transition map into the window needs it.  The
+dims read off the sequence must be those of the model built after them,
+and a model that contradicts them raises.  The tables must not change:
+every slot route agrees with the semifree route on generated windows, and
+a slot table is the restriction of the same route's table on a wider
+window.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import generated_module, identity_morphism
 from dgres import battery
 from dgres import derived as dv
 from dgres import dgcore as dg
+from dgres import exactla as la
 from dgres import heartkit as hk
 from dgres import resolve as rv
 
@@ -32,7 +37,20 @@ def left_simples(R):
             for T in sims]
 
 
-def test_slot_routes_build_only_the_stages_in_the_window():
+def spy_cones(monkeypatch):
+    """Record the name of every dg.cocone and dg.cone_module call; a
+    cocone is a shifted cone, so it records both."""
+    built = []
+    for name in ("cocone", "cone_module"):
+        def spy(*args, name=name, build=getattr(dg, name)):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(dg, name, spy)
+    return built
+
+
+def test_slot_routes_build_only_the_stages_in_the_window(monkeypatch):
     # over K2, heart(S0) has one stage per even slot with a new edge each
     # time, so the stage at the first slot past the window is never built
     K2 = battery.builtin_algebra(K2_SPEC, P)
@@ -47,7 +65,13 @@ def test_slot_routes_build_only_the_stages_in_the_window():
         (rv.IfijResolution(S), lambda r: dv.hom_table_via_ifij(S0, S, r, (0, 3)), {0: 1, 2: 2}, 2),
     ]
     for res, table, dims, stages in runs:
+        # a walk over `stages` stages builds the models M_1 .. M_{stages-1}
+        # and reads the closing stage's edge off the long exact sequence
+        built = spy_cones(monkeypatch)
         assert table(res).dims == dims
+        monkeypatch.undo()
+        cocones = stages - 1 if res.edge_name == "sup" else 0
+        assert (built.count("cocone"), built.count("cone_module")) == (cocones, stages - 1)
         assert len(res.terms) == stages
         assert [res.edge(i) for i in range(stages)] == [info.edge for info in res.infos]
 
@@ -69,7 +93,7 @@ def test_edge_is_read_off_the_model_and_ends_past_the_length(algebras):
 
 def test_an_acyclic_module_ends_at_construction_and_no_model_lies_past_the_length(algebras):
     field = algebras["field"]
-    C, _, _ = dg.cone(dg.identity_morphism(field.regular_module()))
+    C, _, _ = dg.cone(identity_morphism(field.regular_module()))
     for res in (rv.SppjResolution(C), rv.IfijResolution(C)):
         assert res.length == -1 and res.model(0) is C and res.coh(0).is_acyclic()
         assert [res.edge(i) for i in range(4)] == [None] * 4 and res.terms == []
@@ -80,6 +104,51 @@ def test_an_acyclic_module_ends_at_construction_and_no_model_lies_past_the_lengt
     assert res.coh(1).is_acyclic() and res.length == 0
     with pytest.raises(IndexError, match="model 3 lies past the last model of a resolution of length 0"):
         res.model(3)
+
+
+def les_stages(M):
+    """Check, stage by stage to stage 4 of both resolutions of M, that the
+    dims les_dims reads off H(f_{i-1}) are those of the windowed H(M_i)
+    built after them; returns the number of stages checked."""
+    checked = 0
+    for res in (rv.SppjResolution(M), rv.IfijResolution(M)):
+        for i in range(1, 5):
+            res.build_stages(i)
+            if res.length is not None:
+                break
+            les = dict(res.les_dims())
+            assert res.edge(i) == (max if res.edge_name == "sup" else min)(les, default=None)
+            assert les == res.coh(i).dims, (M.label, res.edge_name, i)
+            checked += 1
+    return checked
+
+
+def test_the_long_exact_sequence_gives_the_dims_of_every_model(algebras, k2):
+    algs = dict(algebras, triangular4=battery.builtin_algebra("triangular(4)", P), K2=k2)
+    checked = 0
+    for R in algs.values():
+        sims = len(hk.simples(hk.heart_of(R).h0))
+        for M in [R.regular_module(), battery.m_of(R, 1)] + [battery.heart_simple(R, i) for i in range(sims)]:
+            checked += les_stages(M)
+    assert checked == 127
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(NAMES), st.data())
+def test_the_long_exact_sequence_gives_the_dims_of_generated_models(algebras, k2, name, data):
+    les_stages(generated_module(data, k2 if name == "K2" else algebras[name]))
+
+
+def test_a_model_that_contradicts_its_les_dims_raises(k2, monkeypatch):
+    S = battery.heart_simple(k2, 0)
+    for res in (rv.SppjResolution(S), rv.IfijResolution(S)):
+        res.build_stages(1)
+        rank = la.rank
+        monkeypatch.setattr(la, "rank", lambda m, p: rank(m, p) - 1)
+        assert res.edge(1) is not None  # read with every rank of H(f_0) one short
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match=r"stage 1: H\(M_1\) has dims .*, the long exact sequence gave"):
+            res.model(1)
 
 
 def test_the_stage_cap_counts_the_stages_the_window_needs(nilp2, monkeypatch):

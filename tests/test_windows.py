@@ -1,15 +1,15 @@
 """Cohomology computed only in a window of degrees.
 
 Resolution models get their cohomology on the side of an edge that the
-exact triangle proves, and semifree cones one degree at a time from the
-top; inside the window every field must equal the full computation bit for
-bit, and outside it (above it, for a cone) the full computation must show
-nothing that the window hides.  The cohomology of a model's dual
-is read off the model's window by transpose and must be the full H(D M) in
-another basis.
+exact triangle proves, and semifree rounds one degree each from the top,
+on the three degrees of the round's cone that the round assembles from
+the generators' columns.  Inside the window every field must equal the
+full computation bit for bit, on the model or on the whole cone of the
+augmentation by the generators adjoined so far, and outside it (above it,
+for a cone) the full computation must show nothing that the window hides.
+The cohomology of a model's dual is read off the model's window by
+transpose and must be the full H(D M) in another basis.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -118,25 +118,38 @@ def test_semifree_cones_and_derived_complexes_match_the_full_cohomology(k2, monk
         calls = spy_cohomology(monkeypatch)
         run()
         monkeypatch.undo()
-        cones = [(X, out) for X, w, out in calls if w is not None and isinstance(X, dg.DGModule)]
+        rounds = [out for X, w, out in calls if w is not None and isinstance(X, dg.DGModule)]
         complexes = [(X, out) for X, w, out in calls if isinstance(X, dg.KComplex)]
         assert len(complexes) == 1
-        # one degree per call, top-down from M.hi() to floor + 1, each degree once
-        assert all(out.window[0] == out.window[1] for _, out in cones)
-        assert [out.window[0] for _, out in cones] == list(range(S.hi(), floor, -1))
-        for X, out in cones:
-            full = dg.cohomology(X)
-            assert same_in_window(out, full), X.label
-            assert hidden_degrees(out, full, side="above") == [], X.label
-        # the calls on one cone are consecutive, and each cone but the last is
-        # scanned down to its first degree with classes, which the next one kills
-        runs = [[out for _, out in run] for _, run in itertools.groupby(cones, key=lambda c: id(c[0]))]
-        assert len(runs) == len({id(X) for X, _ in cones}) >= 5
-        for k, outs in enumerate(runs):
-            has = [out.dim(out.window[0]) > 0 for out in outs]
-            assert not any(has[:-1]) and (has[-1] or k == len(runs) - 1)
+        # one degree per round, top-down from M.hi() to floor + 1, each degree once
+        assert all(out.window[0] == out.window[1] for out in rounds)
+        assert [out.window[0] for out in rounds] == list(range(S.hi(), floor, -1))
+        sf = dv.semifree(S, floor)
+        for out in rounds:
+            # the oracle: the whole cone of the augmentation by the generators
+            # adjoined before round j, which are those in degrees above j
+            j = out.window[0]
+            n = sum(s > j for s in sf.gen_degrees)
+            F = dg.free_module(k2, sf.gen_degrees[:n], twists={hg: z for hg, z in sf.twists.items() if hg[1] < n})
+            full = dg.cohomology(dg.cone_module(dg.free_map(F, S, sf.images[:n])))
+            assert same_in_window(out, full), j
+            assert hidden_degrees(out, full, side="above") == [], j
+        # the rounds with classes are exactly the rounds that adjoin generators
+        killed = [out.window[0] for out in rounds if out.dim(out.window[0])]
+        assert killed == sorted(set(sf.gen_degrees), reverse=True) and len(killed) >= 5
         X, out = complexes[0]
         assert out.window == window and same_in_window(out, dg.cohomology(X, with_action=False))
+
+
+def test_semifree_builds_no_free_module_map_or_cone(algebras, k2, monkeypatch):
+    # F and the augmentation are built on first read only, and a round
+    # assembles its three degrees of the cone from the generators' columns
+    inputs = [M for R in list(algebras.values()) + [k2] for M in modules(R)]
+    built = []
+    for name in ("free_module", "free_map", "cone_module"):
+        monkeypatch.setattr(dg, name, lambda *args, name=name, **kwargs: built.append(name))
+    gens = sum(len(dv.semifree(M, -5).gen_degrees) for M in inputs)
+    assert built == [] and gens > 50
 
 
 def test_rref_calls_of_a_windowed_sppj_resolution(monkeypatch):
